@@ -20,6 +20,7 @@ from .orders import (
     initial_valuation,
     multiplicative_order,
     order_record,
+    order_records,
     term_valuation_direct,
     term_valuation_lte,
 )

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .arith import Factorization, factorize, radical
 from .orders import SequenceSpec
+from .smooth import CutoffSpec
 
 
 def factor_term(seq: SequenceSpec, n: int) -> Factorization:
@@ -43,20 +44,17 @@ def abc_quality(seq: SequenceSpec, n: int, K, c) -> AbcTripleReport:
     Needs 1 < c < a.  For n = 1 with a = 2 the triple degenerates to
     (1, 1, 2) and the radical of A is 1.
     """
-    K = Fraction(K)
     c = Fraction(c)
     a = seq.base
     if not 1 < c < a:
         raise ValueError("c must satisfy 1 < c < base")
-    if K <= 0:
-        raise ValueError("K must be positive")
+    cutoff = CutoffSpec.linear(K)
     A = a**n - 1
     C = a**n
     factors = factor_term(seq, n)
     rad_abc = (1 if A == 1 else factors.radical()) * radical(a)
     quality = n * math.log(a) / math.log(rad_abc)
-    y = (K.numerator * n) // K.denominator
-    s_factors = factors.restrict(y)
+    s_factors = factors.restrict(cutoff.value_at(n))
     s = s_factors.value()
     t = A // s
     log_t = math.log(t)

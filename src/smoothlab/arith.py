@@ -68,12 +68,6 @@ class Factorization:
             d *= e + 1
         return d
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.entries:
-            if q == p:
-                return e
-        return 0
-
     def restrict(self, y: int) -> "Factorization":
         """Sub-factorization keeping only primes <= y."""
         return Factorization(tuple((p, e) for p, e in self.entries if p <= y))

@@ -1,11 +1,12 @@
 """Command-line surface.  Every subcommand emits machine-readable JSON
 (default) or CSV, deterministically: identical inputs give byte-identical
-output regardless of --threads."""
+output.  --threads is accepted and ignored."""
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -21,9 +22,7 @@ from .smooth import (
     counting_report,
     enumerate_members,
     membership,
-    order_divisor_primes,
     smooth_part_of_term,
-    term_prime_log_sum,
 )
 from .windows import density_check, dyadic_partition, window_product
 
@@ -54,6 +53,14 @@ def _fmt_real(x: float) -> str:
     return format(x, ".12g")
 
 
+def _double(x) -> float:
+    """x as a finite double; OverflowError when it does not fit one."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise OverflowError(f"{x} is out of range")
+    return v
+
+
 def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -79,7 +86,7 @@ def _emit(parameters: dict, results: list[dict], fmt: str, out: str | None):
             },
             "results": results,
         }
-        text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+        text = json.dumps(doc, indent=2, default=_json_default, allow_nan=False) + "\n"
     else:
         if results:
             columns = list(results[0].keys())
@@ -123,6 +130,9 @@ def _handle_errors(f):
         except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except OverflowError as exc:
+            click.echo(f"error: result does not fit a double ({exc})", err=True)
+            sys.exit(2)
 
     return wrapper
 
@@ -133,7 +143,7 @@ def _common(f):
     f = click.option("--out", type=click.Path(dir_okay=False), default=None,
                      help="Write output to PATH instead of stdout.")(f)
     f = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-                     help="Worker threads; output is identical for any value.")(f)
+                     help="Accepted for compatibility and ignored.")(f)
     return f
 
 
@@ -183,7 +193,7 @@ def membership_cmd(base, n, K, theta, c, fmt, out, threads):
 def enumerate_cmd(base, N, K, theta, c, fmt, out, threads):
     """List the n <= N whose smooth part exceeds c^n."""
     cutoff = _cutoff(K, theta)
-    members = enumerate_members(SequenceSpec(base), cutoff, c, N, threads=threads)
+    members = enumerate_members(SequenceSpec(base), cutoff, c, N)
     params = {"base": base, "N": N, "cutoff": cutoff.describe(), "c": c}
     _emit(params, [{"n": n} for n in members], fmt, out)
 
@@ -223,20 +233,17 @@ def svalue_cmd(base, n, y, K, theta, materialize, fmt, out, threads):
 def snk_cmd(base, n, K, fmt, out, threads):
     """Log-sum over primes dividing base^n - 1 below the cutoff, the
     per-prime order records, and the counting bound."""
-    seq = SequenceSpec(base)
-    rep = counting_report(seq, K, n)
-    records = order_divisor_primes(seq, K, n)
-    log_sum = term_prime_log_sum(seq, K, n)
+    rep = counting_report(SequenceSpec(base), K, n)
     params = {"base": base, "n": n, "K": K}
     rows = [{
         "n": n,
         "prime_count": rep.prime_count,
-        "log_sum": log_sum,
+        "log_sum": rep.log_sum,
         "normalized": rep.normalized,
         "bound": rep.bound,
         "bound_holds": rep.bound_holds,
-        "records": ([[r.p, r.ell, r.o] for r in records] if fmt == "json"
-                    else ";".join(f"{r.p}:{r.ell}:{r.o}" for r in records)),
+        "records": ([[r.p, r.ell, r.o] for r in rep.records] if fmt == "json"
+                    else ";".join(f"{r.p}:{r.ell}:{r.o}" for r in rep.records)),
     }]
     _emit(params, rows, fmt, out)
 
@@ -309,11 +316,11 @@ def bounds_cmd(N, p, precision, check_base, check_c, K, theta, fmt, out, threads
     params = {"N": N, "p": p, "precision": precision}
     row = {
         "N": N,
-        "default_y": float(default_y(N, precision)),
-        "density_bound": float(density_bound(N, precision)),
+        "default_y": _double(default_y(N, precision)),
+        "density_bound": _double(density_bound(N, precision)),
     }
     if p is not None:
-        row["stewart_bound"] = float(stewart_bound(p, precision))
+        row["stewart_bound"] = _double(stewart_bound(p, precision))
     rows = [row]
     if check_base is not None:
         if check_c is None:

@@ -5,10 +5,9 @@ a^n - 1 itself.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime, valuation
+from .arith import factorize, is_prime, primes_upto, valuation
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,6 @@ class OrderRecord:
 # (base, p) -> OrderRecord.  Writes are idempotent, so plain dict
 # assignment is safe under concurrent insertion.
 _record_cache: dict[tuple[int, int], OrderRecord] = {}
-_cache_lock = threading.Lock()
 
 
 def _check_prime_coprime(seq: SequenceSpec, p: int) -> None:
@@ -59,14 +57,9 @@ def multiplicative_order(seq: SequenceSpec, p: int) -> int:
     return e
 
 
-def initial_valuation(seq: SequenceSpec, p: int) -> int:
-    """v_p(base^ell - 1) where ell is the order mod p.
-
-    Evaluates base^ell against p, p^2, ... until the residue leaves 1.
-    """
-    _check_prime_coprime(seq, p)
-    ell = multiplicative_order(seq, p)
-    a = seq.base
+def _lift(a: int, ell: int, p: int) -> int:
+    """v_p(a^ell - 1) for a^ell = 1 mod p: evaluates a^ell against p^2,
+    p^3, ... until the residue leaves 1."""
     o = 1
     modulus = p * p
     while pow(a, ell, modulus) == 1:
@@ -75,14 +68,27 @@ def initial_valuation(seq: SequenceSpec, p: int) -> int:
     return o
 
 
+def initial_valuation(seq: SequenceSpec, p: int) -> int:
+    """v_p(base^ell - 1) where ell is the order mod p."""
+    return _lift(seq.base, multiplicative_order(seq, p), p)
+
+
 def order_record(seq: SequenceSpec, p: int) -> OrderRecord:
     """Memoized (p, ell, o) triple."""
     key = (seq.base, p)
     rec = _record_cache.get(key)
     if rec is None:
-        rec = OrderRecord(p=p, ell=multiplicative_order(seq, p), o=initial_valuation(seq, p))
+        ell = multiplicative_order(seq, p)
+        rec = OrderRecord(p=p, ell=ell, o=_lift(seq.base, ell, p))
         _record_cache[key] = rec
     return rec
+
+
+def order_records(seq: SequenceSpec, y: int) -> list[OrderRecord]:
+    """order_record for every prime p <= y not dividing the base,
+    ascending."""
+    a = seq.base
+    return [order_record(seq, p) for p in primes_upto(y) if a % p != 0]
 
 
 def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:

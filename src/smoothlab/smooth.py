@@ -6,29 +6,29 @@ quantities behind it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Factorization, primes_upto
-from .orders import OrderRecord, SequenceSpec, order_record, term_valuation_direct
+from .orders import OrderRecord, SequenceSpec, order_records, term_valuation_direct
 
 # Relative width of the band around the threshold inside which the
 # membership decision is re-made in exact integer arithmetic.
 TIE_GUARD = 1e-9
 
 
-def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, exactly."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k == 1 or n < 2:
-        return n
-    r = int(round(n ** (1.0 / k)))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
+def _integer_root(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 0, k >= 1, in integers only: the root
+    has at most ceil(bits(m)/k) bits, set one at a time from the top."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if k == 1 or m < 2:
+        return m
+    r = 0
+    for i in reversed(range(-(-m.bit_length() // k))):
+        candidate = r | (1 << i)
+        if candidate**k <= m:
+            r = candidate
     return r
 
 
@@ -141,36 +141,21 @@ def membership(seq: SequenceSpec, n: int, cutoff: CutoffSpec, c) -> MembershipVe
     )
 
 
-def enumerate_members(
-    seq: SequenceSpec, cutoff: CutoffSpec, c, N: int, threads: int = 1
-) -> list[int]:
-    """All n in [1, N] whose smooth part beats c^n, ascending.
-
-    Output is independent of the thread count: work is mapped over n in
-    order and collected in order.
-    """
+def enumerate_members(seq: SequenceSpec, cutoff: CutoffSpec, c, N: int) -> list[int]:
+    """All n in [1, N] whose smooth part beats c^n, ascending."""
     if N < 1:
         return []
     c = Fraction(c)
     if c <= 1:
         raise ValueError("c must be > 1")
     primes_upto(cutoff.value_at(N))  # presize the shared sieve once
-    ns = range(1, N + 1)
-    if threads <= 1:
-        verdicts = [membership(seq, n, cutoff, c) for n in ns]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(lambda n: membership(seq, n, cutoff, c), ns))
-    return [v.n for v in verdicts if v.member]
+    return [n for n in range(1, N + 1) if membership(seq, n, cutoff, c).member]
 
 
 def term_prime_log_sum(seq: SequenceSpec, K, n: int) -> float:
     """Sum of ln p over primes p <= floor(K*n) dividing a^n - 1, in
     ascending-prime order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    K = Fraction(K)
-    y = (K.numerator * n) // K.denominator
+    y = CutoffSpec.linear(K).value_at(n)
     a = seq.base
     return math.fsum(
         math.log(p) for p in primes_upto(y) if a % p != 0 and pow(a, n, p) == 1
@@ -180,19 +165,8 @@ def term_prime_log_sum(seq: SequenceSpec, K, n: int) -> float:
 def order_divisor_primes(seq: SequenceSpec, K, n: int) -> list[OrderRecord]:
     """Order records for the primes p <= floor(K*n), p not dividing the
     base, whose order divides n (equivalently p | a^n - 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    K = Fraction(K)
-    y = (K.numerator * n) // K.denominator
-    a = seq.base
-    out = []
-    for p in primes_upto(y):
-        if a % p == 0:
-            continue
-        rec = order_record(seq, p)
-        if n % rec.ell == 0:
-            out.append(rec)
-    return out
+    y = CutoffSpec.linear(K).value_at(n)
+    return [rec for rec in order_records(seq, y) if n % rec.ell == 0]
 
 
 @dataclass(frozen=True)
@@ -206,6 +180,7 @@ class CountingReport:
     normalized: float  # log_sum / sqrt(K * n)
     bound: int  # sum over d | n of min(floor(Kn/d) + 1, floor(d * log2 a))
     bound_holds: bool
+    records: list[OrderRecord]  # the primes counted, ascending
 
 
 def _floor_log2_power(a: int, d: int) -> int:
@@ -224,7 +199,7 @@ def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
     K = Fraction(K)
     records = order_divisor_primes(seq, K, n)
     log_sum = math.fsum(math.log(r.p) for r in records)
-    y = (K.numerator * n) // K.denominator
+    y = CutoffSpec.linear(K).value_at(n)
     a = seq.base
     bound = 0
     d = 1
@@ -242,4 +217,5 @@ def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
         normalized=normalized,
         bound=bound,
         bound_holds=len(records) <= bound,
+        records=records,
     )

@@ -11,9 +11,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, primes_upto, valuation
+from .arith import is_prime, valuation
 from .bounds import density_bound, stewart_bound
-from .orders import SequenceSpec, order_record, term_valuation_direct
+from .orders import (
+    OrderRecord,
+    SequenceSpec,
+    order_record,
+    order_records,
+    term_valuation_direct,
+)
 from .smooth import CutoffSpec, membership, smooth_part_of_term
 
 
@@ -25,6 +31,18 @@ def _window(N: int) -> range:
 def _count_multiples_in_window(m: int, N: int) -> int:
     """#{N/2 < n <= N : m | n}."""
     return N // m - (N // 2) // m
+
+
+def _lte_window_sum(rec: OrderRecord, N: int) -> int:
+    """Sum of v_p(a^n - 1) over the window for odd p, from the order
+    record alone: o_p * #(multiples of ell_p) + sum over k >= 1 of
+    #(multiples of ell_p * p^k)."""
+    total = rec.o * _count_multiples_in_window(rec.ell, N)
+    m = rec.ell * rec.p
+    while m <= N:
+        total += _count_multiples_in_window(m, N)
+        m *= rec.p
+    return total
 
 
 @dataclass(frozen=True)
@@ -44,36 +62,34 @@ class WindowReport:
 
 def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
     """log of prod over n in (N/2, N] of s_{floor(KN)}(a^n - 1), computed
-    twice: summing over n, and exchanging summation to run over primes.
+    twice: summing direct valuations over n, and exchanging summation to
+    run over primes with the lifting-the-exponent counts.
 
     member_count (against the threshold c^n at cutoff Kn) is filled only
     when c is supplied.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    K = Fraction(K)
-    y = (K.numerator * N) // K.denominator
-    a = seq.base
+    cutoff = CutoffSpec.linear(K)
+    y = cutoff.value_at(N)
 
     log_q = math.fsum(smooth_part_of_term(seq, n, y).log_value for n in _window(N))
 
     contributions = []
-    for p in primes_upto(y):
-        if a % p == 0:
-            continue
-        total = sum(term_valuation_direct(seq, n, p) for n in _window(N))
+    for rec in order_records(seq, y):
+        p = rec.p
+        total = even_prime_window_sum(seq, N) if p == 2 else _lte_window_sum(rec, N)
         if total:
             contributions.append((p, total, total * math.log(p)))
     log_q_by_prime = math.fsum(c3 for _, _, c3 in contributions)
 
     member_count = None
     if c is not None:
-        cutoff = CutoffSpec.linear(K)
         member_count = sum(1 for n in _window(N) if membership(seq, n, cutoff, c).member)
 
     return WindowReport(
         N=N,
-        K=K,
+        K=cutoff.param,
         cutoff_y=y,
         log_Q=log_q,
         log_Q_by_prime=log_q_by_prime,
@@ -84,8 +100,7 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
 
 def prime_window_valuation_sum(seq: SequenceSpec, p: int, N: int) -> tuple[int, int]:
     """Sum of v_p(a^n - 1) over the window, both directly and via the
-    order data: o_p * #(multiples of ell_p) + sum over k >= 1 of
-    #(multiples of ell_p * p^k).  The two must agree exactly.
+    order data (_lte_window_sum).  The two must agree exactly.
     """
     if p == 2:
         raise ValueError("p = 2 has its own formula; use even_prime_window_sum")
@@ -97,14 +112,7 @@ def prime_window_valuation_sum(seq: SequenceSpec, p: int, N: int) -> tuple[int, 
         raise ValueError("N must be >= 1")
 
     direct = sum(term_valuation_direct(seq, n, p) for n in _window(N))
-
-    rec = order_record(seq, p)
-    formula = rec.o * _count_multiples_in_window(rec.ell, N)
-    m = rec.ell * p
-    while m <= N:
-        formula += _count_multiples_in_window(m, N)
-        m *= p
-    return direct, formula
+    return direct, _lte_window_sum(order_record(seq, p), N)
 
 
 def even_prime_window_sum(seq: SequenceSpec, N: int) -> int:
@@ -148,13 +156,11 @@ class DyadicReport:
 def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
     """Split the primes p <= floor(KN) (p not dividing the base) by
     whether o_p * ln p / ell_p falls below 1/y."""
-    if y <= 0:
-        raise ValueError("y must be positive")
+    if not 0 < y < math.inf:
+        raise ValueError("y must be positive and finite")
     if N < 1:
         raise ValueError("N must be >= 1")
-    K = Fraction(K)
-    cutoff = (K.numerator * N) // K.denominator
-    a = seq.base
+    cutoff = CutoffSpec.linear(K)
     threshold = 1.0 / y
 
     ratios = []
@@ -162,10 +168,8 @@ def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
     q1 = q2 = 0
     max_ell_q2 = 0
     stewart_values = []
-    for p in primes_upto(cutoff):
-        if a % p == 0:
-            continue
-        rec = order_record(seq, p)
+    for rec in order_records(seq, cutoff.value_at(N)):
+        p = rec.p
         r = rec.o * math.log(p) / rec.ell
         ratios.append((p, r))
         if r < threshold:
@@ -179,7 +183,7 @@ def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
 
     return DyadicReport(
         N=N,
-        K=K,
+        K=cutoff.param,
         y=y,
         ratios=ratios,
         Q1_size=q1,

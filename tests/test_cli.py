@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -7,6 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from smoothlab.cli import main
+from smoothlab.orders import SequenceSpec
+from smoothlab.smooth import term_prime_log_sum
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "output-schema.json").read_text()
@@ -92,6 +95,22 @@ class TestSnkCommand:
         assert row["bound_holds"] is True
         assert row["records"] == [[3, 2, 1]]
 
+    def test_one_pass_log_sum(self, runner):
+        doc = invoke_json(runner, ["snk", "--base", "3", "--n", "360", "--K", "3/2"])
+        expected = term_prime_log_sum(SequenceSpec(3), Fraction(3, 2), 360)
+        assert doc["results"][0]["log_sum"] == expected
+
+
+@pytest.mark.parametrize("command", [
+    ["snk", "--base", "2", "--n", "6"],
+    ["window", "--base", "2", "--N", "10"],
+    ["dyadic", "--base", "2", "--N", "10"],
+])
+def test_zero_K_is_a_domain_error(runner, command):
+    result = runner.invoke(main, command + ["--K", "0"])
+    assert result.exit_code == 2
+    assert result.output == "error: K must be positive\n"
+
 
 class TestWindowCommand:
     def test_report(self, runner):
@@ -108,6 +127,12 @@ class TestDyadicCommand:
         row = doc["results"][0]
         assert row["Q1_size"] + row["Q2_size"] == 3
 
+    @pytest.mark.parametrize("y", ["nan", "inf"])
+    def test_non_finite_y_rejected(self, runner, y):
+        result = runner.invoke(main, ["dyadic", "--base", "2", "--N", "8", "--K", "1", "--y", y])
+        assert result.exit_code == 2
+        assert "NaN" not in result.output and "Infinity" not in result.output
+
 
 class TestBoundsCommand:
     def test_example(self, runner):
@@ -119,10 +144,24 @@ class TestBoundsCommand:
         result = runner.invoke(main, ["bounds", "--N", "2"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("precision", ["double", "high"])
+    def test_overflowing_N(self, runner, precision):
+        result = runner.invoke(main, ["bounds", "--N", str(10**400), "--precision", precision])
+        assert result.exit_code == 2
+        assert "does not fit a double" in result.output
+
     def test_density_table(self, runner):
         doc = invoke_json(runner, ["bounds", "--N", "64", "--check-base", "2",
                                    "--K", "1", "--check-c", "6/5"])
         assert len(doc["results"]) == 1 + 6  # summary row + ceil(log2 64) windows
+
+
+class TestPowerCutoffCommand:
+    def test_theta_near_two(self, runner):
+        # 50^(1999/1000) = 2490.2...; 50^1999 overflows a double
+        doc = invoke_json(runner, ["membership", "--base", "2", "--n", "50",
+                                   "--theta", "1999/1000", "--c", "1.01"])
+        assert doc["results"][0]["cutoff_y"] == 2490
 
 
 class TestAbcCommand:

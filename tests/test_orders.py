@@ -8,6 +8,7 @@ from smoothlab.orders import (
     initial_valuation,
     multiplicative_order,
     order_record,
+    order_records,
     term_valuation_direct,
     term_valuation_lte,
 )
@@ -98,6 +99,17 @@ class TestOrderRecord:
                     continue
                 rec = order_record(seq, p)
                 assert rec.o * math.log(p) <= rec.ell * math.log(a)
+
+    def test_order_records_match_public_routes(self):
+        for a in (2, 3, 6, 10, 12):
+            seq = SequenceSpec(a)
+            expected = [
+                (p, multiplicative_order(seq, p), initial_valuation(seq, p))
+                for p in sieve_primes(300)
+                if a % p != 0
+            ]
+            assert [(r.p, r.ell, r.o) for r in order_records(seq, 300)] == expected
+        assert order_records(SequenceSpec(2), 1) == []
 
 
 class TestTermValuations:

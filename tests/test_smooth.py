@@ -2,11 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab.arith import smooth_part_oracle
 from smoothlab.orders import SequenceSpec
 from smoothlab.smooth import (
     CutoffSpec,
+    _integer_root,
     counting_report,
     enumerate_members,
     membership,
@@ -32,6 +35,18 @@ class TestCutoffSpec:
             CutoffSpec.linear(0)
         with pytest.raises(ValueError):
             CutoffSpec.power(2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2**1000, max_value=2**6000),
+           st.integers(min_value=1, max_value=1200))
+    def test_integer_root_brackets(self, m, k):
+        r = _integer_root(m, k)
+        assert r**k <= m < (r + 1) ** k
+
+    @given(st.integers(min_value=2, max_value=2**300), st.integers(min_value=2, max_value=20))
+    def test_integer_root_at_exact_powers(self, r, k):
+        assert _integer_root(r**k, k) == r
+        assert _integer_root(r**k - 1, k) == r - 1
 
     def test_nondecreasing(self):
         for cut in (CutoffSpec.linear(Fraction(1, 3)), CutoffSpec.power(Fraction(1, 2))):
@@ -126,13 +141,6 @@ class TestEnumerate:
     def test_empty_domain(self):
         assert enumerate_members(SequenceSpec(2), CutoffSpec.linear(1), 2, 0) == []
 
-    def test_thread_count_irrelevant(self):
-        seq = SequenceSpec(3)
-        cut = CutoffSpec.linear(2)
-        serial = enumerate_members(seq, cut, Fraction(3, 2), 60, threads=1)
-        parallel = enumerate_members(seq, cut, Fraction(3, 2), 60, threads=4)
-        assert serial == parallel
-
 
 class TestPrimeSums:
     def test_log_sum_examples(self):
@@ -157,6 +165,14 @@ class TestPrimeSums:
                 recs = order_divisor_primes(seq, 3, n)
                 log_sum = term_prime_log_sum(seq, 3, n)
                 assert math.fsum(math.log(r.p) for r in recs) == pytest.approx(log_sum)
+
+    def test_report_carries_records_and_exact_log_sum(self):
+        for a in (2, 3, 10):
+            seq = SequenceSpec(a)
+            for K, n in ((1, 6), (3, 30), (Fraction(3, 2), 360)):
+                rep = counting_report(seq, K, n)
+                assert rep.records == order_divisor_primes(seq, K, n)
+                assert rep.log_sum == term_prime_log_sum(seq, K, n)
 
 
 class TestCountingReport:

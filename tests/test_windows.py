@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.bounds import default_y, density_bound, stewart_bound
-from smoothlab.orders import SequenceSpec
+from smoothlab.orders import SequenceSpec, term_valuation_direct
 from smoothlab.smooth import CutoffSpec
 from smoothlab.windows import (
     density_check,
@@ -33,6 +36,25 @@ class TestWindowProduct:
         rep = window_product(SequenceSpec(2), 1, 10, c="6/5")
         # members of the threshold set in (5, 10]: {6, 8, 9}
         assert rep.member_count == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=2, max_value=400),
+        st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]),
+    )
+    def test_prime_major_totals_match_direct(self, a, N, K):
+        # The p-major side counts with lifting the exponent; the oracle
+        # sums direct valuations over the window.
+        seq = SequenceSpec(a)
+        rep = window_product(seq, K, N)
+        window = range(N // 2 + 1, N + 1)
+        expected = []
+        for p in sieve_primes(rep.cutoff_y):
+            total = sum(term_valuation_direct(seq, n, p) for n in window)
+            if total:
+                expected.append((p, total))
+        assert [(p, t) for p, t, _ in rep.per_prime_contributions] == expected
 
 
 class TestPrimeWindowValuationSum:

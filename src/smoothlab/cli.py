@@ -13,10 +13,10 @@ from fractions import Fraction
 import click
 
 from .abc_triples import abc_quality
-from .arith import FactorizationError
+from .arith import Factorization, FactorizationError
 from .binomial import binomial_membership
 from .bounds import default_y, density_bound, stewart_bound
-from .orders import SequenceSpec
+from .orders import OrderRecord, SequenceSpec
 from .smooth import (
     CutoffSpec,
     counting_report,
@@ -68,30 +68,33 @@ def _csv_cell(v) -> str:
         return _fmt_real(v)
     if v is None:
         return ""
+    if isinstance(v, Factorization):
+        return ";".join(f"{p}^{e}" for p, e in v)
+    if isinstance(v, OrderRecord):
+        return f"{v.p}:{v.ell}:{v.o}"
+    if isinstance(v, list):
+        return ";".join(_csv_cell(x) for x in v)
     return str(v)
 
 
 def _json_default(v):
     if isinstance(v, Fraction):
         return str(v)
+    if isinstance(v, Factorization):
+        return [[p, e] for p, e in v]
+    if isinstance(v, OrderRecord):
+        return [v.p, v.ell, v.o]
     raise TypeError(f"not JSON serializable: {v!r}")
 
 
 def _emit(parameters: dict, results: list[dict], fmt: str, out: str | None):
     if fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "parameters": {
-                k: (str(v) if isinstance(v, Fraction) else v) for k, v in parameters.items()
-            },
-            "results": results,
-        }
+        doc = {"schema_version": SCHEMA_VERSION, "parameters": parameters, "results": results}
         text = json.dumps(doc, indent=2, default=_json_default, allow_nan=False) + "\n"
     else:
-        if results:
-            columns = list(results[0].keys())
-        else:
-            columns = []
+        # rows may differ in shape (the density table's rows follow the
+        # bounds row), so the header is every key in first-seen order
+        columns = list(dict.fromkeys(c for row in results for c in row))
         lines = [",".join(columns)]
         for row in results:
             lines.append(",".join(_csv_cell(row.get(c)) for c in columns))
@@ -103,14 +106,6 @@ def _emit(parameters: dict, results: list[dict], fmt: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _factors_json(factors) -> list[list[int]]:
-    return [[p, e] for p, e in factors]
-
-
-def _factors_csv(factors) -> str:
-    return ";".join(f"{p}^{e}" for p, e in factors)
-
-
 def _cutoff(K: Fraction | None, theta: Fraction | None) -> CutoffSpec:
     if (K is None) == (theta is None):
         raise click.UsageError("exactly one of --K and --theta is required")
@@ -119,11 +114,15 @@ def _cutoff(K: Fraction | None, theta: Fraction | None) -> CutoffSpec:
     return CutoffSpec.linear(K)
 
 
-def _handle_errors(f):
+def _common(f):
+    """Make f, which returns (parameters, rows), a command: add the
+    output options, emit what f returns, and map library errors to exit
+    codes (3 for an exhausted factoring budget, 2 for a domain error)."""
+
     @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+    def command(fmt, out, threads, **kwargs):
         try:
-            return f(*args, **kwargs)
+            _emit(*f(**kwargs), fmt, out)
         except FactorizationError as exc:
             click.echo(f"error: {exc} (unfactored cofactor {exc.cofactor})", err=True)
             sys.exit(3)
@@ -134,17 +133,13 @@ def _handle_errors(f):
             click.echo(f"error: result does not fit a double ({exc})", err=True)
             sys.exit(2)
 
-    return wrapper
-
-
-def _common(f):
-    f = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-                     show_default=True, help="Output format.")(f)
-    f = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                     help="Write output to PATH instead of stdout.")(f)
-    f = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-                     help="Accepted for compatibility and ignored.")(f)
-    return f
+    command = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
+                           show_default=True, help="Output format.")(command)
+    command = click.option("--out", type=click.Path(dir_okay=False), default=None,
+                           help="Write output to PATH instead of stdout.")(command)
+    command = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+                           help="Accepted for compatibility and ignored.")(command)
+    return command
 
 
 def _cutoff_opts(f):
@@ -166,13 +161,12 @@ def main():
 @_cutoff_opts
 @click.option("--c", "c", type=RATIONAL, required=True)
 @_common
-@_handle_errors
-def membership_cmd(base, n, K, theta, c, fmt, out, threads):
+def membership_cmd(base, n, K, theta, c):
     """Decide whether the smooth part of base^n - 1 exceeds c^n."""
     cutoff = _cutoff(K, theta)
     v = membership(SequenceSpec(base), n, cutoff, c)
     params = {"base": base, "n": n, "cutoff": cutoff.describe(), "c": c}
-    _emit(params, [{
+    return params, [{
         "n": v.n,
         "cutoff_y": cutoff.value_at(n),
         "log_s": v.log_s,
@@ -180,7 +174,7 @@ def membership_cmd(base, n, K, theta, c, fmt, out, threads):
         "member": v.member,
         "margin": v.margin,
         "exact_tiebreak_used": v.exact_tiebreak_used,
-    }], fmt, out)
+    }]
 
 
 @main.command("enumerate")
@@ -189,13 +183,12 @@ def membership_cmd(base, n, K, theta, c, fmt, out, threads):
 @_cutoff_opts
 @click.option("--c", "c", type=RATIONAL, required=True)
 @_common
-@_handle_errors
-def enumerate_cmd(base, N, K, theta, c, fmt, out, threads):
+def enumerate_cmd(base, N, K, theta, c):
     """List the n <= N whose smooth part exceeds c^n."""
     cutoff = _cutoff(K, theta)
     members = enumerate_members(SequenceSpec(base), cutoff, c, N)
     params = {"base": base, "N": N, "cutoff": cutoff.describe(), "c": c}
-    _emit(params, [{"n": n} for n in members], fmt, out)
+    return params, [{"n": n} for n in members]
 
 
 @main.command("svalue")
@@ -206,8 +199,7 @@ def enumerate_cmd(base, N, K, theta, c, fmt, out, threads):
 @_cutoff_opts
 @click.option("--materialize", is_flag=True, help="Include the exact integer value.")
 @_common
-@_handle_errors
-def svalue_cmd(base, n, y, K, theta, materialize, fmt, out, threads):
+def svalue_cmd(base, n, y, K, theta, materialize):
     """Smooth part of base^n - 1 at one cutoff."""
     if y is None:
         y = _cutoff(K, theta).value_at(n)
@@ -216,12 +208,12 @@ def svalue_cmd(base, n, y, K, theta, materialize, fmt, out, threads):
     row = {
         "n": n,
         "cutoff_y": y,
-        "factors": _factors_json(rec.factors) if fmt == "json" else _factors_csv(rec.factors),
+        "factors": rec.factors,
         "log_value": rec.log_value,
     }
     if materialize:
         row["exact_value"] = str(rec.exact_value)
-    _emit(params, [row], fmt, out)
+    return params, [row]
 
 
 @main.command("snk")
@@ -229,8 +221,7 @@ def svalue_cmd(base, n, y, K, theta, materialize, fmt, out, threads):
 @click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--K", "K", type=RATIONAL, required=True)
 @_common
-@_handle_errors
-def snk_cmd(base, n, K, fmt, out, threads):
+def snk_cmd(base, n, K):
     """Log-sum over primes dividing base^n - 1 below the cutoff, the
     per-prime order records, and the counting bound."""
     rep = counting_report(SequenceSpec(base), K, n)
@@ -242,10 +233,9 @@ def snk_cmd(base, n, K, fmt, out, threads):
         "normalized": rep.normalized,
         "bound": rep.bound,
         "bound_holds": rep.bound_holds,
-        "records": ([[r.p, r.ell, r.o] for r in rep.records] if fmt == "json"
-                    else ";".join(f"{r.p}:{r.ell}:{r.o}" for r in rep.records)),
+        "records": rep.records,
     }]
-    _emit(params, rows, fmt, out)
+    return params, rows
 
 
 @main.command("window")
@@ -255,8 +245,7 @@ def snk_cmd(base, n, K, fmt, out, threads):
 @click.option("--c", "c", type=RATIONAL, default=None,
               help="Also count members in the window at this threshold.")
 @_common
-@_handle_errors
-def window_cmd(base, N, K, c, fmt, out, threads):
+def window_cmd(base, N, K, c):
     """Windowed product of smooth parts over (N/2, N], both evaluation
     orders."""
     rep = window_product(SequenceSpec(base), K, N, c=c)
@@ -269,7 +258,7 @@ def window_cmd(base, N, K, c, fmt, out, threads):
         "agreement_delta": rep.agreement_delta,
         "member_count": rep.member_count,
     }]
-    _emit(params, rows, fmt, out)
+    return params, rows
 
 
 @main.command("dyadic")
@@ -279,8 +268,7 @@ def window_cmd(base, N, K, c, fmt, out, threads):
 @click.option("--y", type=float, default=None,
               help="Partition threshold parameter; defaults to the built-in y(N).")
 @_common
-@_handle_errors
-def dyadic_cmd(base, N, K, y, fmt, out, threads):
+def dyadic_cmd(base, N, K, y):
     """Two-bin split of primes by o_p*ln p/ell_p against 1/y."""
     if y is None:
         y = default_y(N)
@@ -295,7 +283,7 @@ def dyadic_cmd(base, N, K, y, fmt, out, threads):
         "S2": rep.S2,
         "I": rep.I,
     }]
-    _emit(params, rows, fmt, out)
+    return params, rows
 
 
 @main.command("bounds")
@@ -309,8 +297,7 @@ def dyadic_cmd(base, N, K, y, fmt, out, threads):
 @click.option("--check-c", type=RATIONAL, default=None)
 @_cutoff_opts
 @_common
-@_handle_errors
-def bounds_cmd(N, p, precision, check_base, check_c, K, theta, fmt, out, threads):
+def bounds_cmd(N, p, precision, check_base, check_c, K, theta):
     """Threshold function y(N), density bound, optional per-prime bound,
     and the optional observational density table."""
     params = {"N": N, "p": p, "precision": precision}
@@ -335,7 +322,7 @@ def bounds_cmd(N, p, precision, check_base, check_c, K, theta, fmt, out, threads
                 "density_bound": r.bound,
                 "ratio": r.ratio,
             })
-    _emit(params, rows, fmt, out)
+    return params, rows
 
 
 @main.command("abc")
@@ -344,8 +331,7 @@ def bounds_cmd(N, p, precision, check_base, check_c, K, theta, fmt, out, threads
 @click.option("--K", "K", type=RATIONAL, required=True)
 @click.option("--c", "c", type=RATIONAL, required=True)
 @_common
-@_handle_errors
-def abc_cmd(base, n, K, c, fmt, out, threads):
+def abc_cmd(base, n, K, c):
     """Quality of the triple (base^n - 1, 1, base^n) and the smooth/rough
     split of the left side."""
     rep = abc_quality(SequenceSpec(base), n, K, c)
@@ -363,7 +349,7 @@ def abc_cmd(base, n, K, c, fmt, out, threads):
         "cofactor_bound": rep.cofactor_bound,
         "cofactor_below_bound": rep.cofactor_below_bound,
     }]
-    _emit(params, rows, fmt, out)
+    return params, rows
 
 
 @main.command("binomial")
@@ -372,8 +358,7 @@ def abc_cmd(base, n, K, c, fmt, out, threads):
 @click.option("--N", "N", type=click.IntRange(min=1), default=None,
               help="Report every index 1..N.")
 @_common
-@_handle_errors
-def binomial_cmd(n, N, fmt, out, threads):
+def binomial_cmd(n, N):
     """Smooth-part report for central binomial coefficients."""
     if (n is None) == (N is None):
         raise click.UsageError("exactly one of --n and --N is required")
@@ -391,7 +376,7 @@ def binomial_cmd(n, N, fmt, out, threads):
             "margin": rep.margin,
             "reconstruction_ok": rep.reconstruction_ok,
         })
-    _emit(params, rows, fmt, out)
+    return params, rows
 
 
 if __name__ == "__main__":

@@ -57,12 +57,12 @@ def multiplicative_order(seq: SequenceSpec, p: int) -> int:
     return e
 
 
-def _lift(a: int, ell: int, p: int) -> int:
-    """v_p(a^ell - 1) for a^ell = 1 mod p: evaluates a^ell against p^2,
+def _lift(a: int, k: int, p: int) -> int:
+    """v_p(a^k - 1) for a^k = 1 mod p: evaluates a^k against p^2,
     p^3, ... until the residue leaves 1."""
     o = 1
     modulus = p * p
-    while pow(a, ell, modulus) == 1:
+    while pow(a, k, modulus) == 1:
         o += 1
         modulus *= p
     return o
@@ -101,12 +101,7 @@ def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:
     a = seq.base
     if a % p == 0 or pow(a, n, p) != 1:
         return 0
-    e = 1
-    modulus = p * p
-    while pow(a, n, modulus) == 1:
-        e += 1
-        modulus *= p
-    return e
+    return _lift(a, n, p)
 
 
 def term_valuation_lte(seq: SequenceSpec, n: int, p: int) -> int:

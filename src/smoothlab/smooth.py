@@ -106,7 +106,7 @@ def smooth_part_of_term(
             continue
         entries.append((p, term_valuation_direct(seq, n, p)))
     factors = Factorization(tuple(entries))
-    log_value = math.fsum(e * math.log(p) for p, e in entries)
+    log_value = factors.log_value()
     exact = factors.value() if materialize else None
     return SmoothPartRecord(n=n, cutoff_y=y, factors=factors, log_value=log_value, exact_value=exact)
 

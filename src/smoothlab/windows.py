@@ -8,6 +8,7 @@ number is unavoidable); nothing asserts an asymptotic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .orders import (
     order_records,
     term_valuation_direct,
 )
-from .smooth import CutoffSpec, membership, smooth_part_of_term
+from .smooth import CutoffSpec, enumerate_members, membership, smooth_part_of_term
 
 
 def _window(N: int) -> range:
@@ -34,9 +35,10 @@ def _count_multiples_in_window(m: int, N: int) -> int:
 
 
 def _lte_window_sum(rec: OrderRecord, N: int) -> int:
-    """Sum of v_p(a^n - 1) over the window for odd p, from the order
-    record alone: o_p * #(multiples of ell_p) + sum over k >= 1 of
-    #(multiples of ell_p * p^k)."""
+    """Sum of o_p + v_p(n) over the n in the window that ell_p divides,
+    from the order record alone; for odd p this is the window sum of
+    v_p(a^n - 1).  Counted as o_p * #(multiples of ell_p) + sum over
+    k >= 1 of #(multiples of ell_p * p^k)."""
     total = rec.o * _count_multiples_in_window(rec.ell, N)
     m = rec.ell * rec.p
     while m <= N:
@@ -116,22 +118,18 @@ def prime_window_valuation_sum(seq: SequenceSpec, p: int, N: int) -> tuple[int, 
 
 
 def even_prime_window_sum(seq: SequenceSpec, N: int) -> int:
-    """Exact sum of v_2(a^n - 1) over n in (N/2, N] via the p = 2
-    valuation rule; 0 for even bases."""
+    """Exact sum of v_2(a^n - 1) over n in (N/2, N]; 0 for even bases.
+
+    For odd a, v_2(a^n - 1) is o_2 for odd n and o_2 + v_2(a + 1) +
+    v_2(n) - 1 for even n.  The record (2, 1, o_2) counts o_2 + v_2(n)
+    for every n, so each even n adds v_2(a + 1) - 1 on top."""
     if N < 1:
         raise ValueError("N must be >= 1")
     a = seq.base
     if a % 2 == 0:
         return 0
-    o2 = order_record(seq, 2).o
-    v_a1 = valuation(a + 1, 2)
-    total = 0
-    for n in _window(N):
-        if n % 2 == 1:
-            total += o2
-        else:
-            total += o2 + v_a1 + valuation(n // 2, 2)
-    return total
+    return (_lte_window_sum(order_record(seq, 2), N)
+            + (valuation(a + 1, 2) - 1) * _count_multiples_in_window(2, N))
 
 
 def _dyadic_index(ell: int) -> int:
@@ -209,15 +207,12 @@ def density_check(seq: SequenceSpec, cutoff: CutoffSpec, c, N: int) -> list[Dens
     asserted."""
     if N < 3:
         raise ValueError("N must be >= 3")
-    members = set()
-    for n in range(1, N + 1):
-        if membership(seq, n, cutoff, c).member:
-            members.add(n)
+    members = enumerate_members(seq, cutoff, c, N)
     rows = []
     upper = float(N)
     for _ in range(math.ceil(math.log2(N))):
         lower = upper / 2
-        count = sum(1 for n in members if lower < n <= upper)
+        count = bisect_right(members, upper) - bisect_right(members, lower)
         m = int(upper)
         if m >= 3:
             bound = density_bound(m)

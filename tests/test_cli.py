@@ -1,5 +1,4 @@
 import json
-import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +6,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from smoothlab.arith import SIEVE_MAX
 from smoothlab.cli import main
 from smoothlab.orders import SequenceSpec
 from smoothlab.smooth import term_prime_log_sum
@@ -71,10 +71,22 @@ class TestEnumerateCommand:
         assert lines[1:] == ["4", "6", "8", "9"]
 
     def test_threads_byte_identical(self, runner):
-        args = ["enumerate", "--base", "3", "--K", "2", "--c", "3/2", "--N", "50"]
-        one = runner.invoke(main, args + ["--threads", "1"]).output
-        eight = runner.invoke(main, args + ["--threads", "8"]).output
-        assert one.replace('"threads": 1', "") == eight.replace('"threads": 8', "")
+        # --threads is ignored by every subcommand, not only enumerate
+        for command in (
+            ["membership", "--base", "2", "--n", "6", "--K", "1", "--c", "6/5"],
+            ["enumerate", "--base", "3", "--K", "2", "--c", "3/2", "--N", "50"],
+            ["svalue", "--base", "2", "--n", "36", "--K", "1"],
+            ["snk", "--base", "2", "--n", "12", "--K", "1"],
+            ["window", "--base", "3", "--N", "40", "--K", "1", "--c", "6/5"],
+            ["dyadic", "--base", "3", "--N", "100", "--K", "1"],
+            ["bounds", "--N", "64", "--check-base", "2", "--K", "1", "--check-c", "6/5"],
+            ["abc", "--base", "2", "--n", "6", "--K", "1", "--c", "6/5"],
+            ["binomial", "--N", "20"],
+        ):
+            one = runner.invoke(main, command + ["--threads", "1"])
+            eight = runner.invoke(main, command + ["--threads", "8"])
+            assert one.exit_code == eight.exit_code == 0, command
+            assert one.output == eight.output, command
 
 
 class TestSvalueCommand:
@@ -85,6 +97,15 @@ class TestSvalueCommand:
         assert row["factors"] == [[3, 2]]
         assert row["exact_value"] == "9"
 
+    def test_csv_factors(self, runner):
+        result = runner.invoke(main, ["svalue", "--base", "2", "--n", "36", "--K", "1",
+                                      "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output == (
+            "n,cutoff_y,factors,log_value\n"
+            "36,36,3^3;5^1;7^1;13^1;19^1,12.3605732641\n"
+        )
+
 
 class TestSnkCommand:
     def test_report(self, runner):
@@ -94,6 +115,15 @@ class TestSnkCommand:
         assert row["bound"] == 8
         assert row["bound_holds"] is True
         assert row["records"] == [[3, 2, 1]]
+
+    def test_csv_records(self, runner):
+        result = runner.invoke(main, ["snk", "--base", "2", "--n", "12", "--K", "1",
+                                      "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output == (
+            "n,prime_count,log_sum,normalized,bound,bound_holds,records\n"
+            "12,3,4.65396035016,1.34348263048,15,true,3:2:1;5:4:1;7:3:1\n"
+        )
 
     def test_one_pass_log_sum(self, runner):
         doc = invoke_json(runner, ["snk", "--base", "3", "--n", "360", "--K", "3/2"])
@@ -155,6 +185,19 @@ class TestBoundsCommand:
                                    "--K", "1", "--check-c", "6/5"])
         assert len(doc["results"]) == 1 + 6  # summary row + ceil(log2 64) windows
 
+    def test_density_table_csv_keeps_every_column(self, runner):
+        result = runner.invoke(main, ["bounds", "--N", "10", "--check-base", "2",
+                                      "--check-c", "1.2", "--K", "1", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "N,default_y,density_bound,window_upper,member_count,ratio",
+            "10,1.01785487203,9.824583322,,,",
+            ",,9.824583322,10,3,0.30535646161",
+            ",,4.89276945808,5,1,0.204383224791",
+            ",,,2.5,0,",
+            ",,,1.25,0,",
+        ]
+
 
 class TestPowerCutoffCommand:
     def test_theta_near_two(self, runner):
@@ -209,9 +252,16 @@ class TestOutFile:
         jsonschema.validate(doc, SCHEMA)
 
 
-class TestSieveEnv:
-    def test_presized_sieve(self, runner):
-        env = dict(os.environ, SMOOTHLAB_SIEVE_LIMIT="5000")
-        result = runner.invoke(main, ["membership", "--base", "2", "--n", "6", "--K", "1",
-                                      "--c", "6/5"], env=env)
-        assert result.exit_code == 0
+@pytest.mark.parametrize("command, cutoff", [
+    (["svalue", "--base", "2", "--n", "10", "--y", "10000000000"], 10**10),
+    (["membership", "--base", "2", "--n", "1000000000000", "--K", "1", "--c", "1.01"], 10**12),
+    (["enumerate", "--base", "2", "--theta", "19/10", "--N", "1000000", "--c", "1.01"],
+     251188643150),
+    (["dyadic", "--base", "2", "--N", "1000000000", "--K", "1"], 10**9),
+])
+def test_cutoff_above_sieve_limit_is_a_domain_error(runner, command, cutoff):
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2
+    assert result.output == (
+        f"error: prime cutoff {cutoff} exceeds the sieve limit SIEVE_MAX = {SIEVE_MAX}\n"
+    )

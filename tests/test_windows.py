@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.bounds import default_y, density_bound, stewart_bound
 from smoothlab.orders import SequenceSpec, term_valuation_direct
-from smoothlab.smooth import CutoffSpec
+from smoothlab.smooth import CutoffSpec, membership
 from smoothlab.windows import (
     density_check,
     dyadic_partition,
@@ -88,9 +88,10 @@ class TestEvenPrimeWindowSum:
         assert even_prime_window_sum(SequenceSpec(5), 2) == 3
 
     def test_against_bigint(self):
-        for a in (3, 5, 9, 11):
+        # 7, 15, 17, 31, 33 reach v_2(a - 1) or v_2(a + 1) of 3 to 5
+        for a in (3, 5, 9, 11, 7, 15, 17, 31, 33):
             seq = SequenceSpec(a)
-            for N in (7, 20, 64):
+            for N in (1, 2, 3, 7, 20, 64):
                 expected = sum(
                     valuation(a**n - 1, 2) for n in range(N // 2 + 1, N + 1)
                 )
@@ -163,6 +164,15 @@ class TestBoundFunctions:
             )
             got = density_bound(10**6, precision="high")
             assert mpmath.almosteq(got, want, rel_eps=mpmath.mpf(10) ** -45)
+            for x in (17, 10**6, 1000003):
+                ln = mpmath.log(x)
+                assert default_y(x, "high") == mpmath.exp(ln / (156 * mpmath.log(ln)))
+                assert density_bound(x, "high") == x * mpmath.exp(
+                    -ln / (156 * mpmath.log(ln))
+                )
+                assert stewart_bound(x, "high") == x * mpmath.exp(
+                    -ln / (mpmath.mpf("51.9") * mpmath.log(ln))
+                )
 
     def test_rejects_unknown_precision(self):
         with pytest.raises(ValueError):
@@ -175,6 +185,15 @@ class TestDensityCheck:
         assert len(rows) == math.ceil(math.log2(64))
         for row in rows:
             assert 0 <= row.member_count <= row.upper / 2 + 1
+
+    @pytest.mark.parametrize("N", [3, 7, 45, 127, 201])
+    def test_window_counts_match_membership(self, N):
+        # odd N makes every window bound below the first fractional
+        seq, cutoff, c = SequenceSpec(3), CutoffSpec.linear(1), Fraction(101, 100)
+        members = [n for n in range(1, N + 1) if membership(seq, n, cutoff, c).member]
+        for row in density_check(seq, cutoff, c, N):
+            want = sum(1 for n in members if row.upper / 2 < n <= row.upper)
+            assert row.member_count == want
 
     def test_total_count_matches_enumeration(self):
         rows = density_check(SequenceSpec(2), CutoffSpec.linear(1), "6/5", 10)

@@ -4,12 +4,15 @@ Everything here is pure and deterministic.  The only shared state is the
 cached prime sieve behind primes_upto: it starts at 1000, at least
 doubles when a larger cutoff is asked for, and is rebuilt under a lock so
 threads may share it.  Cutoffs above SIEVE_MAX raise ValueError.
+smallest_prime_factors builds a fresh least-prime-factor array from that
+sieve, so a whole range of integers factors without trial division.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -19,7 +22,9 @@ TRIAL_DIVISION_LIMIT = 10**6
 
 # Largest cutoff the shared prime sieve serves.  A sieve this size peaks
 # near 0.37 GB while it is built (7 s, Python 3.11); larger cutoffs are
-# rejected up front instead of exhausting memory.
+# rejected up front instead of exhausting memory.  It also keeps every
+# entry of smallest_prime_factors (a prime <= isqrt(SIEVE_MAX) = 10^4)
+# below 2^16, so that array stores unsigned shorts.
 SIEVE_MAX = 10**8
 
 # Iteration budget per rho split attempt.  Fixed so runs are reproducible.
@@ -128,6 +133,20 @@ def primes_upto(limit: int) -> list[int]:
     if limit >= sieved:
         return primes
     return primes[: bisect_right(primes, limit)]
+
+
+def smallest_prime_factors(limit: int) -> array:
+    """array("H") of length limit + 1 whose entry m is the least prime
+    factor of a composite m, and 0 for a prime or for m < 4.
+
+    Raises ValueError for a negative limit or one above SIEVE_MAX."""
+    if not 0 <= limit <= SIEVE_MAX:
+        raise ValueError(f"limit {limit} is outside 0..SIEVE_MAX = {SIEVE_MAX}")
+    spf = array("H", [0]) * (limit + 1)
+    # descending, so the least prime factor is the last one written
+    for q in reversed(primes_upto(math.isqrt(limit))):
+        spf[q * q :: q] = array("H", [q]) * ((limit - q * q) // q + 1)
+    return spf
 
 
 def is_prime(n: int) -> bool:

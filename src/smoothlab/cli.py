@@ -100,8 +100,12 @@ def _emit(parameters: dict, results: list[dict], fmt: str, out: str | None):
             lines.append(",".join(_csv_cell(row.get(c)) for c in columns))
         text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            click.echo(f"error: cannot write --out {out}: {exc.strerror or exc}", err=True)
+            sys.exit(2)
     else:
         sys.stdout.write(text)
 

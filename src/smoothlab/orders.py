@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime, primes_upto, valuation
+from .arith import factorize, is_prime, primes_upto, smallest_prime_factors, valuation
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class SequenceSpec:
             raise ValueError("base must be an integer >= 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderRecord:
     """(p, ell, o): order of the base mod p and v_p at the first
     divisible index."""
@@ -43,18 +43,27 @@ def _check_prime_coprime(seq: SequenceSpec, p: int) -> None:
         raise ValueError(f"order of {seq.base} mod {p} undefined: p divides base")
 
 
-def multiplicative_order(seq: SequenceSpec, p: int) -> int:
-    """Least k >= 1 with base^k = 1 mod p.
-
-    Factors p - 1 and strips prime factors q while base^(e/q) stays 1.
-    """
-    _check_prime_coprime(seq, p)
-    a = seq.base
+def _order_and_lift(a: int, p: int, qs) -> OrderRecord:
+    """(p, ell, o) for a prime p not dividing a, given the distinct
+    primes qs dividing p - 1: strips each q from p - 1 while a^(e/q)
+    stays 1 mod p, then lifts the order."""
     e = p - 1
-    for q, _ in factorize(e):
+    for q in qs:
         while e % q == 0 and pow(a, e // q, p) == 1:
             e //= q
-    return e
+    return OrderRecord(p=p, ell=e, o=_lift(a, e, p))
+
+
+def _checked_record(seq: SequenceSpec, p: int) -> OrderRecord:
+    """(p, ell, o) for one p, after checking p is prime and coprime to
+    the base; p - 1 is factored by factorize."""
+    _check_prime_coprime(seq, p)
+    return _order_and_lift(seq.base, p, [q for q, _ in factorize(p - 1)])
+
+
+def multiplicative_order(seq: SequenceSpec, p: int) -> int:
+    """Least k >= 1 with base^k = 1 mod p, computed afresh."""
+    return _checked_record(seq, p).ell
 
 
 def _lift(a: int, k: int, p: int) -> int:
@@ -70,7 +79,7 @@ def _lift(a: int, k: int, p: int) -> int:
 
 def initial_valuation(seq: SequenceSpec, p: int) -> int:
     """v_p(base^ell - 1) where ell is the order mod p."""
-    return _lift(seq.base, multiplicative_order(seq, p), p)
+    return order_record(seq, p).o
 
 
 def order_record(seq: SequenceSpec, p: int) -> OrderRecord:
@@ -78,17 +87,32 @@ def order_record(seq: SequenceSpec, p: int) -> OrderRecord:
     key = (seq.base, p)
     rec = _record_cache.get(key)
     if rec is None:
-        ell = multiplicative_order(seq, p)
-        rec = OrderRecord(p=p, ell=ell, o=_lift(seq.base, ell, p))
-        _record_cache[key] = rec
+        rec = _record_cache[key] = _checked_record(seq, p)
     return rec
 
 
 def order_records(seq: SequenceSpec, y: int) -> list[OrderRecord]:
     """order_record for every prime p <= y not dividing the base,
-    ascending."""
+    ascending.
+
+    Primes without a memoized record are built in one pass: they come
+    from the sieve, so they skip the prime check, and the primes dividing
+    each p - 1 are read off one smallest-prime-factor array."""
     a = seq.base
-    return [order_record(seq, p) for p in primes_upto(y) if a % p != 0]
+    primes = [p for p in primes_upto(y) if a % p != 0]
+    missing = [p for p in primes if (a, p) not in _record_cache]
+    if missing:
+        spf = smallest_prime_factors(missing[-1] - 1)
+        for p in missing:
+            qs = []
+            m = p - 1
+            while m > 1:
+                q = spf[m] or m  # 0 marks a prime m
+                qs.append(q)
+                while m % q == 0:
+                    m //= q
+            _record_cache[(a, p)] = _order_and_lift(a, p, qs)
+    return [_record_cache[(a, p)] for p in primes]
 
 
 def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab.arith import (
+    SIEVE_MAX,
     Factorization,
     divisor_count,
     factorize,
@@ -12,6 +13,7 @@ from smoothlab.arith import (
     largest_prime_factor,
     radical,
     sieve_primes,
+    smallest_prime_factors,
     smooth_part_oracle,
     valuation,
 )
@@ -55,6 +57,26 @@ class TestSieve:
         assert len(sieve_primes(100)) == 25
 
 
+class TestSmallestPrimeFactors:
+    def test_matches_factorize(self):
+        spf = smallest_prime_factors(20000)
+        assert spf.typecode == "H" and len(spf) == 20001
+        for m in range(20001):
+            f = factorize(m).entries if m else ()
+            composite = len(f) > 1 or (len(f) == 1 and f[0][1] > 1)
+            assert spf[m] == (f[0][0] if composite else 0), m
+
+    def test_small_limits(self):
+        assert [list(smallest_prime_factors(n)) for n in range(5)] == [
+            [0], [0, 0], [0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0, 2],
+        ]
+
+    def test_rejects_limit_out_of_range(self):
+        for limit in (-1, SIEVE_MAX + 1):
+            with pytest.raises(ValueError):
+                smallest_prime_factors(limit)
+
+
 class TestValuation:
     def test_unit(self):
         assert valuation(1, 7) == 0
@@ -92,7 +114,7 @@ class TestFactorize:
                 assert e >= 1
 
     @given(st.integers(min_value=1, max_value=10**6))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_roundtrip_matches_trial_division(self, m):
         assert factorize(m).as_dict() == trial_division_factor(m)
 

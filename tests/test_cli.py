@@ -251,6 +251,15 @@ class TestOutFile:
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, SCHEMA)
 
+    def test_unwritable_out_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "no" / "such" / "x.json"
+        result = runner.invoke(main, ["bounds", "--N", "10", "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: cannot write --out {out}: No such file or directory\n"
+        )
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, cutoff", [
     (["svalue", "--base", "2", "--n", "10", "--y", "10000000000"], 10**10),

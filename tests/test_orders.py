@@ -1,7 +1,12 @@
 import math
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from smoothlab import arith, orders
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.orders import (
     SequenceSpec,
@@ -101,15 +106,68 @@ class TestOrderRecord:
                 assert rec.o * math.log(p) <= rec.ell * math.log(a)
 
     def test_order_records_match_public_routes(self):
+        # batch first, from an empty memo, so initial_valuation reads the
+        # batch's records and multiplicative_order factors p - 1 afresh
         for a in (2, 3, 6, 10, 12):
             seq = SequenceSpec(a)
-            expected = [
-                (p, multiplicative_order(seq, p), initial_valuation(seq, p))
-                for p in sieve_primes(300)
-                if a % p != 0
-            ]
-            assert [(r.p, r.ell, r.o) for r in order_records(seq, 300)] == expected
+            with mock.patch.dict(orders._record_cache, clear=True):
+                got = [(r.p, r.ell, r.o) for r in order_records(seq, 300)]
+                expected = [
+                    (p, multiplicative_order(seq, p), initial_valuation(seq, p))
+                    for p in sieve_primes(300)
+                    if a % p != 0
+                ]
+            assert got == expected
         assert order_records(SequenceSpec(2), 1) == []
+
+
+class TestOrderRecordsBatch:
+    @given(
+        a=st.integers(min_value=2, max_value=40),
+        y=st.integers(min_value=0, max_value=3000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(a=6, y=3000, seed=0)
+    @example(a=10, y=3000, seed=1)
+    @example(a=12, y=3000, seed=2)
+    @example(a=30, y=3000, seed=3)
+    @settings(max_examples=30)
+    def test_against_enumeration_from_mixed_memo(self, a, y, seed):
+        # A random share of the records is memoized one at a time first,
+        # so the batch pass fills the gaps between single-prime records.
+        seq = SequenceSpec(a)
+        primes = [p for p in sieve_primes(y) if a % p != 0]
+        expected = []
+        for p in primes:
+            ell = order_by_enumeration(a, p)
+            expected.append((p, ell, valuation(a**ell - 1, p)))
+        rng = random.Random(seed)
+        share = rng.random()
+        with mock.patch.dict(orders._record_cache, clear=True):
+            for p in primes:
+                if rng.random() < share:
+                    order_record(seq, p)
+            assert [(r.p, r.ell, r.o) for r in order_records(seq, y)] == expected
+
+    def test_batch_build_skips_prime_test_and_factoring(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (arith, orders):
+            for name in ("is_prime", "factorize"):
+                monkeypatch.setattr(mod, name, counted(name, getattr(arith, name)))
+        monkeypatch.setattr(orders, "_record_cache", {})
+        seq = SequenceSpec(7)
+        assert len(order_records(seq, 5000)) == len(sieve_primes(5000)) - 1
+        assert calls == []
+        # the single-prime path still checks p and factors p - 1
+        order_record(seq, 5003)
+        assert "is_prime" in calls and "factorize" in calls
 
 
 class TestTermValuations:

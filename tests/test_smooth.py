@@ -36,7 +36,7 @@ class TestCutoffSpec:
         with pytest.raises(ValueError):
             CutoffSpec.power(2)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(min_value=2**1000, max_value=2**6000),
            st.integers(min_value=1, max_value=1200))
     def test_integer_root_brackets(self, m, k):

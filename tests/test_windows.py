@@ -37,7 +37,7 @@ class TestWindowProduct:
         # members of the threshold set in (5, 10]: {6, 8, 9}
         assert rep.member_count == 3
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         st.integers(min_value=2, max_value=12),
         st.integers(min_value=2, max_value=400),

@@ -4,10 +4,8 @@ valuations of a^n - 1 without materializing the terms."""
 from .arith import (
     Factorization,
     FactorizationError,
-    divisor_count,
     factorize,
     is_prime,
-    largest_prime_factor,
     primes_upto,
     radical,
     sieve_primes,
@@ -17,8 +15,6 @@ from .arith import (
 from .orders import (
     OrderRecord,
     SequenceSpec,
-    initial_valuation,
-    multiplicative_order,
     order_record,
     order_records,
     term_valuation_direct,
@@ -32,9 +28,7 @@ from .smooth import (
     counting_report,
     enumerate_members,
     membership,
-    order_divisor_primes,
     smooth_part_of_term,
-    term_prime_log_sum,
 )
 from .windows import (
     DensityRow,

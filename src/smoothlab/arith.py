@@ -2,8 +2,8 @@
 
 Everything here is pure and deterministic.  The only shared state is the
 cached prime sieve behind primes_upto: it starts at 1000, at least
-doubles when a larger cutoff is asked for, and is rebuilt under a lock so
-threads may share it.  Cutoffs above SIEVE_MAX raise ValueError.
+doubles when a larger cutoff is asked for, and is swapped in whole as
+one (limit, primes) pair.  Cutoffs above SIEVE_MAX raise ValueError.
 smallest_prime_factors builds a fresh least-prime-factor array from that
 sieve, so a whole range of integers factors without trial division.
 """
@@ -11,7 +11,6 @@ sieve, so a whole range of integers factors without trial division.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -72,21 +71,12 @@ class Factorization:
             v *= p
         return v
 
-    def divisor_count(self) -> int:
-        d = 1
-        for _, e in self.entries:
-            d *= e + 1
-        return d
-
     def restrict(self, y: int) -> "Factorization":
         """Sub-factorization keeping only primes <= y."""
         return Factorization(tuple((p, e) for p, e in self.entries if p <= y))
 
     def log_value(self) -> float:
         return math.fsum(e * math.log(p) for p, e in self.entries)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -107,9 +97,9 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if mark[i]]
 
 
-_sieve_lock = threading.Lock()
 # (limit, ascending primes <= limit), replaced whole so readers always
-# see a matching pair.  Grows by at least doubling, up to SIEVE_MAX.
+# see a matching pair; two callers growing it at once at worst sieve
+# twice.  Grows by at least doubling, up to SIEVE_MAX.
 _sieve: tuple[int, list[int]] = (1000, sieve_primes(1000))
 
 
@@ -124,12 +114,9 @@ def primes_upto(limit: int) -> list[int]:
         raise ValueError(f"prime cutoff {limit} exceeds the sieve limit SIEVE_MAX = {SIEVE_MAX}")
     sieved, primes = _sieve
     if limit > sieved:
-        with _sieve_lock:
-            sieved, primes = _sieve
-            if limit > sieved:
-                sieved = min(max(limit, 2 * sieved), SIEVE_MAX)
-                primes = sieve_primes(sieved)
-                _sieve = (sieved, primes)
+        sieved = min(max(limit, 2 * sieved), SIEVE_MAX)
+        primes = sieve_primes(sieved)
+        _sieve = (sieved, primes)
     if limit >= sieved:
         return primes
     return primes[: bisect_right(primes, limit)]
@@ -275,13 +262,6 @@ def radical(m: int) -> int:
     return factorize(m).radical()
 
 
-def largest_prime_factor(m: int) -> int:
-    """P(m) for m >= 2."""
-    if m < 2:
-        raise ValueError("largest prime factor undefined for m <= 1")
-    return factorize(m).entries[-1][0]
-
-
 def smooth_part_oracle(m: int, y: int) -> tuple[int, Factorization]:
     """s_y(m) = prod over primes p <= y of p^(v_p(m)), by direct trial
     division on m.  The reference everything else is checked against;
@@ -299,10 +279,3 @@ def smooth_part_oracle(m: int, y: int) -> tuple[int, Factorization]:
             entries.append((p, e))
     factors = Factorization(tuple(entries))
     return factors.value(), factors
-
-
-def divisor_count(n: int) -> int:
-    """d(n) for n >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return factorize(n).divisor_count()

@@ -313,6 +313,8 @@ def bounds_cmd(N, p, precision, check_base, check_c, K, theta):
     if p is not None:
         row["stewart_bound"] = _double(stewart_bound(p, precision))
     rows = [row]
+    if check_base is None and any(v is not None for v in (check_c, K, theta)):
+        raise click.UsageError("--check-c, --K and --theta apply only with --check-base")
     if check_base is not None:
         if check_c is None:
             raise click.UsageError("--check-c is required with --check-base")

@@ -31,16 +31,8 @@ class OrderRecord:
     o: int
 
 
-# (base, p) -> OrderRecord.  Writes are idempotent, so plain dict
-# assignment is safe under concurrent insertion.
+# (base, p) -> OrderRecord, filled by order_record and order_records.
 _record_cache: dict[tuple[int, int], OrderRecord] = {}
-
-
-def _check_prime_coprime(seq: SequenceSpec, p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if seq.base % p == 0:
-        raise ValueError(f"order of {seq.base} mod {p} undefined: p divides base")
 
 
 def _order_and_lift(a: int, p: int, qs) -> OrderRecord:
@@ -54,18 +46,6 @@ def _order_and_lift(a: int, p: int, qs) -> OrderRecord:
     return OrderRecord(p=p, ell=e, o=_lift(a, e, p))
 
 
-def _checked_record(seq: SequenceSpec, p: int) -> OrderRecord:
-    """(p, ell, o) for one p, after checking p is prime and coprime to
-    the base; p - 1 is factored by factorize."""
-    _check_prime_coprime(seq, p)
-    return _order_and_lift(seq.base, p, [q for q, _ in factorize(p - 1)])
-
-
-def multiplicative_order(seq: SequenceSpec, p: int) -> int:
-    """Least k >= 1 with base^k = 1 mod p, computed afresh."""
-    return _checked_record(seq, p).ell
-
-
 def _lift(a: int, k: int, p: int) -> int:
     """v_p(a^k - 1) for a^k = 1 mod p: evaluates a^k against p^2,
     p^3, ... until the residue leaves 1."""
@@ -77,17 +57,18 @@ def _lift(a: int, k: int, p: int) -> int:
     return o
 
 
-def initial_valuation(seq: SequenceSpec, p: int) -> int:
-    """v_p(base^ell - 1) where ell is the order mod p."""
-    return order_record(seq, p).o
-
-
 def order_record(seq: SequenceSpec, p: int) -> OrderRecord:
-    """Memoized (p, ell, o) triple."""
+    """Memoized (p, ell, o) triple.  On a memo miss p must be prime and
+    coprime to the base, and p - 1 is factored by factorize."""
     key = (seq.base, p)
     rec = _record_cache.get(key)
     if rec is None:
-        rec = _record_cache[key] = _checked_record(seq, p)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if seq.base % p == 0:
+            raise ValueError(f"order of {seq.base} mod {p} undefined: p divides base")
+        qs = [q for q, _ in factorize(p - 1)]
+        rec = _record_cache[key] = _order_and_lift(seq.base, p, qs)
     return rec
 
 

@@ -16,6 +16,11 @@ from .orders import OrderRecord, SequenceSpec, order_records, term_valuation_dir
 # membership decision is re-made in exact integer arithmetic.
 TIE_GUARD = 1e-9
 
+# Most bits, counted as p * bits(n), of the n**p that the power cutoff
+# floor(n ** (p/q)) builds before its q-th root; each further digit of
+# theta's denominator costs about 30 times more.
+POWER_CUTOFF_MAX_BITS = 2**20
+
 
 def _integer_root(m: int, k: int) -> int:
     """floor(m ** (1/k)) for m >= 0, k >= 1, in integers only: the root
@@ -60,6 +65,10 @@ class CutoffSpec:
             return (self.param.numerator * n) // self.param.denominator
         # floor(n^(p/q)) = floor of the q-th root of n^p, exact in integers
         p, q = self.param.numerator, self.param.denominator
+        bits = p * n.bit_length()
+        if bits > POWER_CUTOFF_MAX_BITS:
+            raise ValueError(f"n**{p} for the cutoff floor(n ** {self.param}) at n = {n} has up to"
+                             f" {bits} bits, above POWER_CUTOFF_MAX_BITS = {POWER_CUTOFF_MAX_BITS}")
         return _integer_root(n**p, q)
 
     def describe(self) -> str:
@@ -152,23 +161,6 @@ def enumerate_members(seq: SequenceSpec, cutoff: CutoffSpec, c, N: int) -> list[
     return [n for n in range(1, N + 1) if membership(seq, n, cutoff, c).member]
 
 
-def term_prime_log_sum(seq: SequenceSpec, K, n: int) -> float:
-    """Sum of ln p over primes p <= floor(K*n) dividing a^n - 1, in
-    ascending-prime order."""
-    y = CutoffSpec.linear(K).value_at(n)
-    a = seq.base
-    return math.fsum(
-        math.log(p) for p in primes_upto(y) if a % p != 0 and pow(a, n, p) == 1
-    )
-
-
-def order_divisor_primes(seq: SequenceSpec, K, n: int) -> list[OrderRecord]:
-    """Order records for the primes p <= floor(K*n), p not dividing the
-    base, whose order divides n (equivalently p | a^n - 1)."""
-    y = CutoffSpec.linear(K).value_at(n)
-    return [rec for rec in order_records(seq, y) if n % rec.ell == 0]
-
-
 @dataclass(frozen=True)
 class CountingReport:
     """Prime count against its certified combinatorial ceiling."""
@@ -183,30 +175,30 @@ class CountingReport:
     records: list[OrderRecord]  # the primes counted, ascending
 
 
-def _floor_log2_power(a: int, d: int) -> int:
-    """floor(d * log2(a)) exactly, as floor(log2(a^d))."""
-    return (a**d).bit_length() - 1
-
-
 def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
     """Count primes p <= floor(Kn) with order dividing n and certify the
     per-divisor ceiling.
 
     Each divisor d of n contributes primes with order exactly d; these
     are = 1 mod d (at most floor(Kn/d) + 1 of them below the cutoff) and
-    divide a^d - 1 (at most floor(d*log2 a) distinct primes).
+    divide a^d - 1 (at most floor(d*log2 a) = bits(a^d) - 1 distinct
+    primes).  Since floor(d*log2 a) >= d, a^d is built only when
+    floor(Kn/d) + 1 > d.
     """
     K = Fraction(K)
-    records = order_divisor_primes(seq, K, n)
-    log_sum = math.fsum(math.log(r.p) for r in records)
     y = CutoffSpec.linear(K).value_at(n)
+    records = [rec for rec in order_records(seq, y) if n % rec.ell == 0]
+    log_sum = math.fsum(math.log(r.p) for r in records)
     a = seq.base
     bound = 0
     d = 1
     while d * d <= n:
         if n % d == 0:
             for div in {d, n // d}:
-                bound += min(y // div + 1, _floor_log2_power(a, div))
+                count = y // div + 1
+                if count > div:
+                    count = min(count, (a**div).bit_length() - 1)
+                bound += count
         d += 1
     normalized = log_sum / math.sqrt(float(K) * n)
     return CountingReport(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, valuation
-from .bounds import density_bound, stewart_bound
+from .bounds import density_bound
 from .orders import (
     OrderRecord,
     SequenceSpec,
@@ -54,7 +54,6 @@ class WindowReport:
     cutoff_y: int
     log_Q: float  # n-major evaluation
     log_Q_by_prime: float  # p-major evaluation
-    per_prime_contributions: list[tuple[int, int, float]]  # (p, sum of v_p, sum * ln p)
     member_count: int | None = None
 
     @property
@@ -77,13 +76,11 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
 
     log_q = math.fsum(smooth_part_of_term(seq, n, y).log_value for n in _window(N))
 
-    contributions = []
-    for rec in order_records(seq, y):
-        p = rec.p
-        total = even_prime_window_sum(seq, N) if p == 2 else _lte_window_sum(rec, N)
-        if total:
-            contributions.append((p, total, total * math.log(p)))
-    log_q_by_prime = math.fsum(c3 for _, _, c3 in contributions)
+    log_q_by_prime = math.fsum(
+        (even_prime_window_sum(seq, N) if rec.p == 2 else _lte_window_sum(rec, N))
+        * math.log(rec.p)
+        for rec in order_records(seq, y)
+    )
 
     member_count = None
     if c is not None:
@@ -95,7 +92,6 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
         cutoff_y=y,
         log_Q=log_q,
         log_Q_by_prime=log_q_by_prime,
-        per_prime_contributions=contributions,
         member_count=member_count,
     )
 
@@ -142,13 +138,11 @@ class DyadicReport:
     N: int
     K: Fraction
     y: float
-    ratios: list[tuple[int, float]]  # (p, o_p * ln p / ell_p)
     Q1_size: int
     Q2_size: int
     S1: float  # N * sum of ratios over the small bin
     S2: float  # trivial estimate N * #Q2
     I: int  # max dyadic index of ell_p over Q2; -1 when Q2 empty
-    stewart_values: list[tuple[int, float]]
 
 
 def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
@@ -161,35 +155,27 @@ def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
     cutoff = CutoffSpec.linear(K)
     threshold = 1.0 / y
 
-    ratios = []
     q1_sum = 0.0
     q1 = q2 = 0
     max_ell_q2 = 0
-    stewart_values = []
     for rec in order_records(seq, cutoff.value_at(N)):
-        p = rec.p
-        r = rec.o * math.log(p) / rec.ell
-        ratios.append((p, r))
+        r = rec.o * math.log(rec.p) / rec.ell
         if r < threshold:
             q1 += 1
             q1_sum += r
         else:
             q2 += 1
             max_ell_q2 = max(max_ell_q2, rec.ell)
-            if p >= 17:
-                stewart_values.append((p, stewart_bound(p)))
 
     return DyadicReport(
         N=N,
         K=cutoff.param,
         y=y,
-        ratios=ratios,
         Q1_size=q1,
         Q2_size=q2,
         S1=N * q1_sum,
         S2=float(N * q2),
         I=_dyadic_index(max_ell_q2) if q2 else -1,
-        stewart_values=stewart_values,
     )
 
 

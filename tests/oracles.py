@@ -1,0 +1,30 @@
+"""Slow, independent reference routes the tests compare the library with.
+
+Each one uses only modular arithmetic on the definition, never the order
+records or their memo.
+"""
+
+import math
+
+from smoothlab.arith import primes_upto
+from smoothlab.smooth import CutoffSpec
+
+
+def order_by_enumeration(a, p):
+    """Least k >= 1 with a^k = 1 mod p, by stepping k."""
+    x = a % p
+    k = 1
+    while x != 1:
+        x = x * a % p
+        k += 1
+    return k
+
+
+def term_prime_log_sum(seq, K, n):
+    """Sum of ln p over primes p <= floor(K*n) dividing a^n - 1, in
+    ascending-prime order."""
+    y = CutoffSpec.linear(K).value_at(n)
+    a = seq.base
+    return math.fsum(
+        math.log(p) for p in primes_upto(y) if a % p != 0 and pow(a, n, p) == 1
+    )

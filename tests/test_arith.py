@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from smoothlab.arith import (
     SIEVE_MAX,
     Factorization,
-    divisor_count,
     factorize,
     is_prime,
-    largest_prime_factor,
     radical,
     sieve_primes,
     smallest_prime_factors,
@@ -100,8 +98,8 @@ class TestFactorize:
         assert factorize(1).value() == 1
 
     def test_examples(self):
-        assert factorize(63).as_dict() == {3: 2, 7: 1}
-        assert factorize(2047).as_dict() == {23: 1, 89: 1}
+        assert dict(factorize(63)) == {3: 2, 7: 1}
+        assert dict(factorize(2047)) == {23: 1, 89: 1}
 
     def test_roundtrip_random_sample(self):
         rng = random.Random(20240811)
@@ -116,7 +114,7 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=60)
     def test_roundtrip_matches_trial_division(self, m):
-        assert factorize(m).as_dict() == trial_division_factor(m)
+        assert dict(factorize(m)) == trial_division_factor(m)
 
     def test_entries_ascending(self):
         f = factorize(2 * 3 * 5 * 7 * 11)
@@ -131,11 +129,11 @@ class TestFactorize:
         with pytest.raises(FactorizationError) as exc:
             factorize(7 * p * q, budget=100)
         assert exc.value.cofactor == p * q
-        assert exc.value.partial.as_dict() == {7: 1}
+        assert dict(exc.value.partial) == {7: 1}
 
     def test_rho_splits_semiprime_past_trial_range(self):
         f = factorize(1000003 * 1000033)
-        assert f.as_dict() == {1000003: 1, 1000033: 1}
+        assert dict(f) == {1000003: 1, 1000033: 1}
 
     def test_invalid_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -149,17 +147,6 @@ class TestRadical:
         assert radical(1) == 1
         assert radical(72) == 6
         assert radical(4032) == 42
-
-
-class TestLargestPrimeFactor:
-    def test_examples(self):
-        assert largest_prime_factor(2) == 2
-        assert largest_prime_factor(100) == 5
-        assert largest_prime_factor(255) == 17
-
-    def test_rejects_unit(self):
-        with pytest.raises(ValueError):
-            largest_prime_factor(1)
 
 
 class TestSmoothPartOracle:
@@ -188,16 +175,3 @@ class TestSmoothPartOracle:
         s, f = smooth_part_oracle(2 * 3 * 5 * 7 * 11 * 13, 7)
         assert f.entries[-1][0] <= 7
 
-
-class TestDivisorCount:
-    def test_examples(self):
-        assert divisor_count(1) == 1
-        assert divisor_count(12) == 6
-        assert divisor_count(2**6) == 7
-
-    def test_matches_enumeration(self):
-        rng = random.Random(99)
-        for _ in range(50):
-            n = rng.randrange(1, 10**5)
-            brute = sum(1 for d in range(1, n + 1) if n % d == 0)
-            assert divisor_count(n) == brute

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,9 @@ from click.testing import CliRunner
 from smoothlab.arith import SIEVE_MAX
 from smoothlab.cli import main
 from smoothlab.orders import SequenceSpec
-from smoothlab.smooth import term_prime_log_sum
+from smoothlab.smooth import POWER_CUTOFF_MAX_BITS
+
+from oracles import term_prime_log_sum
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "output-schema.json").read_text()
@@ -185,6 +188,13 @@ class TestBoundsCommand:
                                    "--K", "1", "--check-c", "6/5"])
         assert len(doc["results"]) == 1 + 6  # summary row + ceil(log2 64) windows
 
+    @pytest.mark.parametrize("option", [["--check-c", "1.01", "--K", "1"], ["--K", "1"],
+                                        ["--theta", "1/2"], ["--check-c", "1.01"]])
+    def test_density_options_need_check_base(self, runner, option):
+        result = runner.invoke(main, ["bounds", "--N", "10", *option])
+        assert result.exit_code == 2
+        assert "--check-c, --K and --theta apply only with --check-base" in result.output
+
     def test_density_table_csv_keeps_every_column(self, runner):
         result = runner.invoke(main, ["bounds", "--N", "10", "--check-base", "2",
                                       "--check-c", "1.2", "--K", "1", "--format", "csv"])
@@ -205,6 +215,18 @@ class TestPowerCutoffCommand:
         doc = invoke_json(runner, ["membership", "--base", "2", "--n", "50",
                                    "--theta", "1999/1000", "--c", "1.01"])
         assert doc["results"][0]["cutoff_y"] == 2490
+
+    def test_oversized_power_is_a_domain_error(self, runner):
+        # 1000^1999999 would have some 2*10^7 bits; building it took minutes
+        start = time.perf_counter()
+        result = runner.invoke(main, ["svalue", "--base", "2", "--n", "1000",
+                                      "--theta", "1999999/1000000"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.output == (
+            "error: n**1999999 for the cutoff floor(n ** 1999999/1000000) at n = 1000 has up to"
+            f" 19999990 bits, above POWER_CUTOFF_MAX_BITS = {POWER_CUTOFF_MAX_BITS}\n"
+        )
 
 
 class TestAbcCommand:

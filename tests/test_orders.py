@@ -10,22 +10,20 @@ from smoothlab import arith, orders
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.orders import (
     SequenceSpec,
-    initial_valuation,
-    multiplicative_order,
     order_record,
     order_records,
     term_valuation_direct,
     term_valuation_lte,
 )
 
+from oracles import order_by_enumeration
 
-def order_by_enumeration(a, p):
-    x = a % p
-    k = 1
-    while x != 1:
-        x = x * a % p
-        k += 1
-    return k
+
+@pytest.fixture
+def empty_memo():
+    """Order records built one prime at a time, through factorize."""
+    with mock.patch.dict(orders._record_cache, clear=True):
+        yield
 
 
 class TestSequenceSpec:
@@ -34,15 +32,16 @@ class TestSequenceSpec:
             SequenceSpec(1)
 
 
+@pytest.mark.usefixtures("empty_memo")
 class TestMultiplicativeOrder:
     def test_examples(self):
-        assert multiplicative_order(SequenceSpec(5), 3) == 2
-        assert multiplicative_order(SequenceSpec(2), 7) == 3
-        assert multiplicative_order(SequenceSpec(4), 3) == 1
+        assert order_record(SequenceSpec(5), 3).ell == 2
+        assert order_record(SequenceSpec(2), 7).ell == 3
+        assert order_record(SequenceSpec(4), 3).ell == 1
 
     def test_rejects_p_dividing_base(self):
         with pytest.raises(ValueError):
-            multiplicative_order(SequenceSpec(6), 3)
+            order_record(SequenceSpec(6), 3)
 
     def test_matches_enumeration(self):
         for a in (2, 3, 5, 10):
@@ -50,7 +49,7 @@ class TestMultiplicativeOrder:
             for p in sieve_primes(100):
                 if a % p == 0:
                     continue
-                assert multiplicative_order(seq, p) == order_by_enumeration(a, p)
+                assert order_record(seq, p).ell == order_by_enumeration(a, p)
 
     def test_minimality_and_divides_p_minus_1(self):
         for a in (2, 3, 7):
@@ -58,18 +57,19 @@ class TestMultiplicativeOrder:
             for p in sieve_primes(60):
                 if a % p == 0:
                     continue
-                ell = multiplicative_order(seq, p)
+                ell = order_record(seq, p).ell
                 assert (p - 1) % ell == 0
                 for d in range(1, ell):
                     if ell % d == 0:
                         assert pow(a, d, p) != 1
 
 
+@pytest.mark.usefixtures("empty_memo")
 class TestInitialValuation:
     def test_examples(self):
-        assert initial_valuation(SequenceSpec(2), 3) == 1
-        assert initial_valuation(SequenceSpec(3), 11) == 2
-        assert initial_valuation(SequenceSpec(2), 7) == 1
+        assert order_record(SequenceSpec(2), 3).o == 1
+        assert order_record(SequenceSpec(3), 11).o == 2
+        assert order_record(SequenceSpec(2), 7).o == 1
 
     def test_against_bigint(self):
         for a in (2, 3, 5, 7):
@@ -77,8 +77,8 @@ class TestInitialValuation:
             for p in sieve_primes(50):
                 if a % p == 0:
                     continue
-                ell = multiplicative_order(seq, p)
-                assert initial_valuation(seq, p) == valuation(a**ell - 1, p)
+                ell = order_by_enumeration(a, p)
+                assert order_record(seq, p).o == valuation(a**ell - 1, p)
 
 
 class TestOrderRecord:
@@ -106,17 +106,14 @@ class TestOrderRecord:
                 assert rec.o * math.log(p) <= rec.ell * math.log(a)
 
     def test_order_records_match_public_routes(self):
-        # batch first, from an empty memo, so initial_valuation reads the
-        # batch's records and multiplicative_order factors p - 1 afresh
+        # the batch from one emptied memo, order_record prime by prime
+        # (factoring each p - 1) from another
         for a in (2, 3, 6, 10, 12):
             seq = SequenceSpec(a)
             with mock.patch.dict(orders._record_cache, clear=True):
-                got = [(r.p, r.ell, r.o) for r in order_records(seq, 300)]
-                expected = [
-                    (p, multiplicative_order(seq, p), initial_valuation(seq, p))
-                    for p in sieve_primes(300)
-                    if a % p != 0
-                ]
+                got = order_records(seq, 300)
+            with mock.patch.dict(orders._record_cache, clear=True):
+                expected = [order_record(seq, p) for p in sieve_primes(300) if a % p != 0]
             assert got == expected
         assert order_records(SequenceSpec(2), 1) == []
 
@@ -197,6 +194,6 @@ class TestTermValuations:
             for p in sieve_primes(60):
                 if a % p == 0:
                     continue
-                ell = multiplicative_order(seq, p)
+                ell = order_record(seq, p).ell
                 for n in range(1, 40):
                     assert (pow(a, n, p) == 1) == (n % ell == 0)

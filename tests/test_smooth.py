@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoothlab.arith import smooth_part_oracle
-from smoothlab.orders import SequenceSpec
+from smoothlab.arith import primes_upto, smooth_part_oracle
+from smoothlab.orders import SequenceSpec, order_records
 from smoothlab.smooth import (
     CutoffSpec,
     _integer_root,
     counting_report,
     enumerate_members,
     membership,
-    order_divisor_primes,
     smooth_part_of_term,
-    term_prime_log_sum,
 )
+
+from oracles import term_prime_log_sum
 
 
 class TestCutoffSpec:
@@ -57,16 +57,16 @@ class TestCutoffSpec:
 class TestSmoothPartOfTerm:
     def test_examples(self):
         rec = smooth_part_of_term(SequenceSpec(2), 6, 6, materialize=True)
-        assert rec.factors.as_dict() == {3: 2}
+        assert dict(rec.factors) == {3: 2}
         assert rec.exact_value == 9
         rec = smooth_part_of_term(SequenceSpec(2), 4, 4, materialize=True)
-        assert rec.factors.as_dict() == {3: 1}
+        assert dict(rec.factors) == {3: 1}
         assert rec.exact_value == 3
         rec = smooth_part_of_term(SequenceSpec(2), 3, 4, materialize=True)
         assert rec.factors.entries == ()
         assert rec.exact_value == 1
         rec = smooth_part_of_term(SequenceSpec(3), 1, 2, materialize=True)
-        assert rec.factors.as_dict() == {2: 1}
+        assert dict(rec.factors) == {2: 1}
         assert rec.exact_value == 2
 
     def test_oracle_equivalence(self):
@@ -151,27 +151,29 @@ class TestPrimeSums:
 
     def test_order_divisor_primes_examples(self):
         seq = SequenceSpec(2)
-        recs = order_divisor_primes(seq, 1, 6)
+        recs = counting_report(seq, 1, 6).records
         assert [(r.p, r.ell, r.o) for r in recs] == [(3, 2, 1)]
-        recs = order_divisor_primes(seq, 2, 6)
+        recs = counting_report(seq, 2, 6).records
         assert [r.p for r in recs] == [3, 7]
-        assert order_divisor_primes(seq, 1, 1) == []
+        assert counting_report(seq, 1, 1).records == []
 
     def test_two_criteria_agree(self):
         # order-divides-n and p-divides-term pick the same primes
         for a in (2, 3):
             seq = SequenceSpec(a)
             for n in (6, 12, 30):
-                recs = order_divisor_primes(seq, 3, n)
-                log_sum = term_prime_log_sum(seq, 3, n)
-                assert math.fsum(math.log(r.p) for r in recs) == pytest.approx(log_sum)
+                recs = counting_report(seq, 3, n).records
+                assert [r.p for r in recs] == [
+                    p for p in primes_upto(3 * n) if a % p != 0 and pow(a, n, p) == 1
+                ]
 
     def test_report_carries_records_and_exact_log_sum(self):
         for a in (2, 3, 10):
             seq = SequenceSpec(a)
             for K, n in ((1, 6), (3, 30), (Fraction(3, 2), 360)):
                 rep = counting_report(seq, K, n)
-                assert rep.records == order_divisor_primes(seq, K, n)
+                y = CutoffSpec.linear(K).value_at(n)
+                assert rep.records == [r for r in order_records(seq, y) if n % r.ell == 0]
                 assert rep.log_sum == term_prime_log_sum(seq, K, n)
 
 
@@ -192,3 +194,17 @@ class TestCountingReport:
         assert rep.bound_holds
         for n in range(1, 120):
             assert counting_report(SequenceSpec(2), Fraction(7, 2), n).bound_holds
+
+    def test_bound_matches_definition(self):
+        # sum over d | n of min(floor(Kn/d) + 1, floor(d * log2 a)), with
+        # a^d built for every divisor
+        for a in (2, 3, 10):
+            for K in (Fraction(1), Fraction(3, 2), Fraction(7, 2)):
+                for n in range(1, 80):
+                    y = math.floor(K * n)
+                    want = sum(
+                        min(y // d + 1, (a**d).bit_length() - 1)
+                        for d in range(1, n + 1)
+                        if n % d == 0
+                    )
+                    assert counting_report(SequenceSpec(a), K, n).bound == want

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.bounds import default_y, density_bound, stewart_bound
-from smoothlab.orders import SequenceSpec, term_valuation_direct
+from smoothlab.orders import SequenceSpec, order_records, term_valuation_direct
 from smoothlab.smooth import CutoffSpec, membership
 from smoothlab.windows import (
     density_check,
@@ -49,12 +49,11 @@ class TestWindowProduct:
         seq = SequenceSpec(a)
         rep = window_product(seq, K, N)
         window = range(N // 2 + 1, N + 1)
-        expected = []
-        for p in sieve_primes(rep.cutoff_y):
-            total = sum(term_valuation_direct(seq, n, p) for n in window)
-            if total:
-                expected.append((p, total))
-        assert [(p, t) for p, t, _ in rep.per_prime_contributions] == expected
+        totals = [
+            (p, sum(term_valuation_direct(seq, n, p) for n in window))
+            for p in sieve_primes(rep.cutoff_y)
+        ]
+        assert rep.log_Q_by_prime == math.fsum(t * math.log(p) for p, t in totals)
 
 
 class TestPrimeWindowValuationSum:
@@ -98,6 +97,11 @@ class TestEvenPrimeWindowSum:
                 assert even_prime_window_sum(seq, N) == expected
 
 
+def dyadic_ratios(a, N):
+    """(p, o_p * ln p / ell_p) for the primes p <= N not dividing a."""
+    return [(r.p, r.o * math.log(r.p) / r.ell) for r in order_records(SequenceSpec(a), N)]
+
+
 class TestDyadicPartition:
     def test_degenerate_threshold(self):
         rep = dyadic_partition(SequenceSpec(2), 1, 8, 1e9)
@@ -107,19 +111,21 @@ class TestDyadicPartition:
 
     def test_unit_threshold(self):
         rep = dyadic_partition(SequenceSpec(2), 1, 8, 1.0)
-        in_q1 = {p for p, r in rep.ratios if r < 1.0}
+        in_q1 = {p for p, r in dyadic_ratios(2, 8) if r < 1.0}
         assert 7 in in_q1  # ln(7)/3 < 1
+        assert rep.Q1_size == len(in_q1)
 
     def test_partition_exact(self):
         rep = dyadic_partition(SequenceSpec(2), 1, 100, default_y(100))
         primes = [p for p in sieve_primes(100)]
         assert rep.Q1_size + rep.Q2_size == len(primes) - 1  # p = 2 divides the base
-        assert len(rep.ratios) == rep.Q1_size + rep.Q2_size
+        in_q1 = [r for _, r in dyadic_ratios(2, 100) if r < 1 / default_y(100)]
+        assert rep.Q1_size == len(in_q1)
 
     def test_s1_reproducible(self):
         y = 2.0
         rep = dyadic_partition(SequenceSpec(3), 1, 50, y)
-        s1 = 50 * sum(r for _, r in rep.ratios if r < 1 / y)
+        s1 = 50 * sum(r for _, r in dyadic_ratios(3, 50) if r < 1 / y)
         assert rep.S1 == pytest.approx(s1)
         assert rep.S2 == 50 * rep.Q2_size
 

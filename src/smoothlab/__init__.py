@@ -36,7 +36,6 @@ from .windows import (
     WindowReport,
     density_check,
     dyadic_partition,
-    even_prime_window_sum,
     prime_window_valuation_sum,
     window_product,
 )

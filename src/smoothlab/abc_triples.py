@@ -34,7 +34,7 @@ class AbcTripleReport:
     t_value: int
     log_t: float
     cofactor_bound: float  # n * ln(a/c)
-    cofactor_below_bound: bool
+    cofactor_below_bound: bool  # t < (a/c)^n, exact with c = P/Q
 
 
 def abc_quality(seq: SequenceSpec, n: int, K, c) -> AbcTripleReport:
@@ -71,5 +71,5 @@ def abc_quality(seq: SequenceSpec, n: int, K, c) -> AbcTripleReport:
         t_value=t,
         log_t=log_t,
         cofactor_bound=bound,
-        cofactor_below_bound=log_t < bound,
+        cofactor_below_bound=t * c.numerator**n < C * c.denominator**n,
     )

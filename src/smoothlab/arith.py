@@ -111,7 +111,11 @@ def primes_upto(limit: int) -> list[int]:
     if limit < 2:
         return []
     if limit > SIEVE_MAX:
-        raise ValueError(f"prime cutoff {limit} exceeds the sieve limit SIEVE_MAX = {SIEVE_MAX}")
+        try:
+            shown = str(limit)
+        except ValueError:  # past Python's int-to-str digit limit
+            shown = f">= 2^{limit.bit_length() - 1}"
+        raise ValueError(f"prime cutoff {shown} exceeds the sieve limit SIEVE_MAX = {SIEVE_MAX}")
     sieved, primes = _sieve
     if limit > sieved:
         sieved = min(max(limit, 2 * sieved), SIEVE_MAX)

@@ -5,9 +5,10 @@ a^n - 1 itself.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime, primes_upto, smallest_prime_factors, valuation
+from .arith import primes_upto, smallest_prime_factors, valuation
 
 
 @dataclass(frozen=True)
@@ -31,19 +32,10 @@ class OrderRecord:
     o: int
 
 
-# (base, p) -> OrderRecord, filled by order_record and order_records.
-_record_cache: dict[tuple[int, int], OrderRecord] = {}
-
-
-def _order_and_lift(a: int, p: int, qs) -> OrderRecord:
-    """(p, ell, o) for a prime p not dividing a, given the distinct
-    primes qs dividing p - 1: strips each q from p - 1 while a^(e/q)
-    stays 1 mod p, then lifts the order."""
-    e = p - 1
-    for q in qs:
-        while e % q == 0 and pow(a, e // q, p) == 1:
-            e //= q
-    return OrderRecord(p=p, ell=e, o=_lift(a, e, p))
+# base -> (limit, records): the record of every prime p <= limit not
+# dividing the base, ascending.  Only _table writes here, and only by
+# raising a base's limit.
+_tables: dict[int, tuple[int, list[OrderRecord]]] = {}
 
 
 def _lift(a: int, k: int, p: int) -> int:
@@ -57,43 +49,50 @@ def _lift(a: int, k: int, p: int) -> int:
     return o
 
 
+def _table(a: int, y: int) -> list[OrderRecord]:
+    """Base a's table, first grown to y in one pass over the new sieved
+    primes p: each prime q of p - 1, read off one smallest-prime-factor
+    array, is stripped from e = p - 1 while a^(e/q) stays 1 mod p, and
+    the order e is then lifted."""
+    limit, records = _tables.get(a, (1, []))
+    if y > limit:
+        primes = primes_upto(y)
+        new = [p for p in primes[bisect_right(primes, limit):] if a % p != 0]
+        if new:
+            spf = smallest_prime_factors(new[-1] - 1)
+            grown = []  # appended whole, so an interrupted pass leaves no part
+            for p in new:
+                e = m = p - 1
+                while m > 1:
+                    q = spf[m] or m  # 0 marks a prime m
+                    while m % q == 0:
+                        m //= q
+                    while e % q == 0 and pow(a, e // q, p) == 1:
+                        e //= q
+                grown.append(OrderRecord(p, e, _lift(a, e, p)))
+            records.extend(grown)
+        _tables[a] = (y, records)
+    return records
+
+
 def order_record(seq: SequenceSpec, p: int) -> OrderRecord:
-    """Memoized (p, ell, o) triple.  On a memo miss p must be prime and
-    coprime to the base, and p - 1 is factored by factorize."""
-    key = (seq.base, p)
-    rec = _record_cache.get(key)
-    if rec is None:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if seq.base % p == 0:
-            raise ValueError(f"order of {seq.base} mod {p} undefined: p divides base")
-        qs = [q for q, _ in factorize(p - 1)]
-        rec = _record_cache[key] = _order_and_lift(seq.base, p, qs)
-    return rec
+    """The (p, ell, o) triple of one prime, from the base's table.
+
+    The table first grows to p if it stops below, so one lookup may cost
+    a table build up to p.  Raises ValueError when p is not a prime,
+    divides the base or lies above SIEVE_MAX."""
+    records = _table(seq.base, p)
+    i = bisect_left(records, p, key=lambda r: r.p)
+    if i == len(records) or records[i].p != p:
+        raise ValueError(f"{p} is not a prime coprime to the base {seq.base}")
+    return records[i]
 
 
 def order_records(seq: SequenceSpec, y: int) -> list[OrderRecord]:
     """order_record for every prime p <= y not dividing the base,
-    ascending.
-
-    Primes without a memoized record are built in one pass: they come
-    from the sieve, so they skip the prime check, and the primes dividing
-    each p - 1 are read off one smallest-prime-factor array."""
-    a = seq.base
-    primes = [p for p in primes_upto(y) if a % p != 0]
-    missing = [p for p in primes if (a, p) not in _record_cache]
-    if missing:
-        spf = smallest_prime_factors(missing[-1] - 1)
-        for p in missing:
-            qs = []
-            m = p - 1
-            while m > 1:
-                q = spf[m] or m  # 0 marks a prime m
-                qs.append(q)
-                while m % q == 0:
-                    m //= q
-            _record_cache[(a, p)] = _order_and_lift(a, p, qs)
-    return [_record_cache[(a, p)] for p in primes]
+    ascending: a slice of the base's table."""
+    records = _table(seq.base, y)
+    return records[: bisect_right(records, y, key=lambda r: r.p)]
 
 
 def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:
@@ -110,25 +109,19 @@ def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:
 
 
 def term_valuation_lte(seq: SequenceSpec, n: int, p: int) -> int:
-    """v_p(base^n - 1) from the order data alone.
-
-    Odd p: o_p + v_p(n) when ell_p | n, else 0.  p = 2 with odd base:
-    o_2 for odd n, o_2 + v_2(base + 1) + v_2(n/2) for even n.  p = 2
-    with even base: 0.
+    """v_p(base^n - 1) from the order data alone: o_p + v_p(n) when
+    ell_p | n, else 0, and 0 when p divides the base.  For p = 2 (odd
+    base, ell_2 = 1) each even n adds v_2(base + 1) - 1 on top.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a = seq.base
-    if p == 2:
-        if a % 2 == 0:
-            return 0
-        rec = order_record(seq, 2)
-        if n % 2 == 1:
-            return rec.o
-        return rec.o + valuation(a + 1, 2) + valuation(n // 2, 2)
     if a % p == 0:
         return 0
     rec = order_record(seq, p)
     if n % rec.ell != 0:
         return 0
-    return rec.o + valuation(n, p)
+    v = rec.o + valuation(n, p)
+    if p == 2 and n % 2 == 0:
+        v += valuation(a + 1, 2) - 1
+    return v

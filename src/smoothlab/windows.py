@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, valuation
+from .arith import valuation
 from .bounds import density_bound
 from .orders import (
     OrderRecord,
@@ -21,7 +21,7 @@ from .orders import (
     order_records,
     term_valuation_direct,
 )
-from .smooth import CutoffSpec, enumerate_members, membership, smooth_part_of_term
+from .smooth import CutoffSpec, _decide, _threshold_base, enumerate_members, smooth_part_of_term
 
 
 def _window(N: int) -> range:
@@ -34,16 +34,19 @@ def _count_multiples_in_window(m: int, N: int) -> int:
     return N // m - (N // 2) // m
 
 
-def _lte_window_sum(rec: OrderRecord, N: int) -> int:
-    """Sum of o_p + v_p(n) over the n in the window that ell_p divides,
-    from the order record alone; for odd p this is the window sum of
-    v_p(a^n - 1).  Counted as o_p * #(multiples of ell_p) + sum over
-    k >= 1 of #(multiples of ell_p * p^k)."""
+def _lte_window_sum(seq: SequenceSpec, rec: OrderRecord, N: int) -> int:
+    """Sum of v_p(a^n - 1) over the window from the order record alone:
+    o_p + v_p(n) for each n that ell_p divides, counted as o_p *
+    #(multiples of ell_p) + sum over k >= 1 of #(multiples of ell_p *
+    p^k).  For p = 2 (odd base, ell_2 = 1) each even n adds v_2(a + 1) - 1
+    on top."""
     total = rec.o * _count_multiples_in_window(rec.ell, N)
     m = rec.ell * rec.p
     while m <= N:
         total += _count_multiples_in_window(m, N)
         m *= rec.p
+    if rec.p == 2:
+        total += (valuation(seq.base + 1, 2) - 1) * _count_multiples_in_window(2, N)
     return total
 
 
@@ -67,24 +70,26 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
     run over primes with the lifting-the-exponent counts.
 
     member_count (against the threshold c^n at cutoff Kn) is filled only
-    when c is supplied.
+    when c is supplied; each n is decided from its term above, restricted
+    to the primes <= floor(Kn), exactly as membership decides it.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     cutoff = CutoffSpec.linear(K)
     y = cutoff.value_at(N)
 
-    log_q = math.fsum(smooth_part_of_term(seq, n, y).log_value for n in _window(N))
+    terms = [smooth_part_of_term(seq, n, y) for n in _window(N)]
+    log_q = math.fsum(t.log_value for t in terms)
 
     log_q_by_prime = math.fsum(
-        (even_prime_window_sum(seq, N) if rec.p == 2 else _lte_window_sum(rec, N))
-        * math.log(rec.p)
-        for rec in order_records(seq, y)
+        _lte_window_sum(seq, rec, N) * math.log(rec.p) for rec in order_records(seq, y)
     )
 
     member_count = None
     if c is not None:
-        member_count = sum(1 for n in _window(N) if membership(seq, n, cutoff, c).member)
+        c = _threshold_base(c)
+        member_count = sum(_decide(t.n, cutoff, c, t.factors.restrict(cutoff.value_at(t.n))).member
+                           for t in terms)
 
     return WindowReport(
         N=N,
@@ -100,32 +105,11 @@ def prime_window_valuation_sum(seq: SequenceSpec, p: int, N: int) -> tuple[int, 
     """Sum of v_p(a^n - 1) over the window, both directly and via the
     order data (_lte_window_sum).  The two must agree exactly.
     """
-    if p == 2:
-        raise ValueError("p = 2 has its own formula; use even_prime_window_sum")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if seq.base % p == 0:
-        raise ValueError("p divides the base")
+    rec = order_record(seq, p)
     if N < 1:
         raise ValueError("N must be >= 1")
-
     direct = sum(term_valuation_direct(seq, n, p) for n in _window(N))
-    return direct, _lte_window_sum(order_record(seq, p), N)
-
-
-def even_prime_window_sum(seq: SequenceSpec, N: int) -> int:
-    """Exact sum of v_2(a^n - 1) over n in (N/2, N]; 0 for even bases.
-
-    For odd a, v_2(a^n - 1) is o_2 for odd n and o_2 + v_2(a + 1) +
-    v_2(n) - 1 for even n.  The record (2, 1, o_2) counts o_2 + v_2(n)
-    for every n, so each even n adds v_2(a + 1) - 1 on top."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    a = seq.base
-    if a % 2 == 0:
-        return 0
-    return (_lte_window_sum(order_record(seq, 2), N)
-            + (valuation(a + 1, 2) - 1) * _count_multiples_in_window(2, N))
+    return direct, _lte_window_sum(seq, rec, N)
 
 
 def _dyadic_index(ell: int) -> int:

@@ -1,7 +1,7 @@
 """Slow, independent reference routes the tests compare the library with.
 
 Each one uses only modular arithmetic on the definition, never the order
-records or their memo.
+records or their tables.
 """
 
 import math

@@ -59,6 +59,13 @@ class TestAbcQuality:
                 engine = smooth_part_of_term(seq, n, n, materialize=True)
                 assert rep.s_factors == engine.factors
 
+    @pytest.mark.parametrize("a, c", [(3, Fraction(3, 2)), (9, Fraction(9, 8))])
+    def test_cofactor_tie_is_not_below(self, a, c):
+        # t = a^1 - 1 = a/c exactly, so the strict t < (a/c)^n fails
+        rep = abc_quality(SequenceSpec(a), 1, 1, c)
+        assert rep.t_value == a - 1 == a / c
+        assert rep.cofactor_below_bound is False
+
     def test_membership_implies_small_cofactor(self):
         seq = SequenceSpec(2)
         cut = CutoffSpec.linear(1)

@@ -289,6 +289,8 @@ class TestOutFile:
     (["enumerate", "--base", "2", "--theta", "19/10", "--N", "1000000", "--c", "1.01"],
      251188643150),
     (["dyadic", "--base", "2", "--N", "1000000000", "--K", "1"], 10**9),
+    # about 8,500 digits, past Python's int-to-str limit: named by its size
+    (["svalue", "--base", "2", "--n", "9" * 4299, "--theta", "71/36"], ">= 2^28165"),
 ])
 def test_cutoff_above_sieve_limit_is_a_domain_error(runner, command, cutoff):
     result = runner.invoke(main, command)

@@ -21,8 +21,8 @@ from oracles import order_by_enumeration
 
 @pytest.fixture
 def empty_memo():
-    """Order records built one prime at a time, through factorize."""
-    with mock.patch.dict(orders._record_cache, clear=True):
+    """Empty order tables, so each lookup grows its base's table."""
+    with mock.patch.dict(orders._tables, clear=True):
         yield
 
 
@@ -106,16 +106,21 @@ class TestOrderRecord:
                 assert rec.o * math.log(p) <= rec.ell * math.log(a)
 
     def test_order_records_match_public_routes(self):
-        # the batch from one emptied memo, order_record prime by prime
-        # (factoring each p - 1) from another
+        # a table grown one prime at a time through order_record against
+        # a one-shot order_records from another empty table
         for a in (2, 3, 6, 10, 12):
             seq = SequenceSpec(a)
-            with mock.patch.dict(orders._record_cache, clear=True):
-                got = order_records(seq, 300)
-            with mock.patch.dict(orders._record_cache, clear=True):
-                expected = [order_record(seq, p) for p in sieve_primes(300) if a % p != 0]
-            assert got == expected
+            with mock.patch.dict(orders._tables, clear=True):
+                got = [order_record(seq, p) for p in sieve_primes(300) if a % p != 0]
+            with mock.patch.dict(orders._tables, clear=True):
+                assert order_records(seq, 300) == got
         assert order_records(SequenceSpec(2), 1) == []
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 91, 3, arith.SIEVE_MAX + 7])
+    def test_rejects_what_has_no_record(self, p):
+        # p <= 1, composite, dividing the base 6, above the sieve limit
+        with pytest.raises(ValueError):
+            order_record(SequenceSpec(6), p)
 
 
 class TestOrderRecordsBatch:
@@ -123,15 +128,17 @@ class TestOrderRecordsBatch:
         a=st.integers(min_value=2, max_value=40),
         y=st.integers(min_value=0, max_value=3000),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        one_prime_at_a_time=st.booleans(),
     )
-    @example(a=6, y=3000, seed=0)
-    @example(a=10, y=3000, seed=1)
-    @example(a=12, y=3000, seed=2)
-    @example(a=30, y=3000, seed=3)
+    @example(a=6, y=3000, seed=0, one_prime_at_a_time=False)
+    @example(a=10, y=3000, seed=1, one_prime_at_a_time=False)
+    @example(a=12, y=3000, seed=2, one_prime_at_a_time=True)
+    @example(a=30, y=3000, seed=3, one_prime_at_a_time=True)
     @settings(max_examples=30)
-    def test_against_enumeration_from_mixed_memo(self, a, y, seed):
-        # A random share of the records is memoized one at a time first,
-        # so the batch pass fills the gaps between single-prime records.
+    def test_against_enumeration_from_grown_table(self, a, y, seed, one_prime_at_a_time):
+        # The table grows either in random cutoff steps (a share of them
+        # on primes, which end a step on its last record) or one prime
+        # at a time; it must equal a one-shot build and the oracle.
         seq = SequenceSpec(a)
         primes = [p for p in sieve_primes(y) if a % p != 0]
         expected = []
@@ -139,12 +146,19 @@ class TestOrderRecordsBatch:
             ell = order_by_enumeration(a, p)
             expected.append((p, ell, valuation(a**ell - 1, p)))
         rng = random.Random(seed)
-        share = rng.random()
-        with mock.patch.dict(orders._record_cache, clear=True):
-            for p in primes:
-                if rng.random() < share:
+        with mock.patch.dict(orders._tables, clear=True):
+            if one_prime_at_a_time:
+                for p in primes:
                     order_record(seq, p)
-            assert [(r.p, r.ell, r.o) for r in order_records(seq, y)] == expected
+            else:
+                steps = sorted(rng.choice([rng.randint(0, y), rng.choice(primes or [0])])
+                               for _ in range(rng.randint(1, 8)))
+                for step in steps:
+                    order_records(seq, step)
+            grown = order_records(seq, y)
+        with mock.patch.dict(orders._tables, clear=True):
+            assert order_records(seq, y) == grown
+        assert [(r.p, r.ell, r.o) for r in grown] == expected
 
     def test_batch_build_skips_prime_test_and_factoring(self, monkeypatch):
         calls = []
@@ -155,16 +169,15 @@ class TestOrderRecordsBatch:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (arith, orders):
-            for name in ("is_prime", "factorize"):
-                monkeypatch.setattr(mod, name, counted(name, getattr(arith, name)))
-        monkeypatch.setattr(orders, "_record_cache", {})
+        for name in ("is_prime", "factorize"):
+            assert not hasattr(orders, name)
+            monkeypatch.setattr(arith, name, counted(name, getattr(arith, name)))
+        monkeypatch.setattr(orders, "_tables", {})
         seq = SequenceSpec(7)
         assert len(order_records(seq, 5000)) == len(sieve_primes(5000)) - 1
+        # a lookup past the table grows it the same way
+        assert order_record(seq, 5003).p == 5003
         assert calls == []
-        # the single-prime path still checks p and factors p - 1
-        order_record(seq, 5003)
-        assert "is_prime" in calls and "factorize" in calls
 
 
 class TestTermValuations:

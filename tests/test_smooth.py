@@ -48,6 +48,12 @@ class TestCutoffSpec:
         assert _integer_root(r**k, k) == r
         assert _integer_root(r**k - 1, k) == r - 1
 
+    def test_integer_root_of_small_m_at_huge_k(self):
+        # the root is 1 without building any power of size k
+        assert _integer_root(10**6, 10**9) == 1
+        assert _integer_root(2**64, 64) == 2
+        assert _integer_root(2**64 - 1, 64) == 1
+
     def test_nondecreasing(self):
         for cut in (CutoffSpec.linear(Fraction(1, 3)), CutoffSpec.power(Fraction(1, 2))):
             values = [cut.value_at(n) for n in range(1, 200)]

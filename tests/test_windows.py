@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothlab.arith import sieve_primes, valuation
@@ -13,7 +13,6 @@ from smoothlab.smooth import CutoffSpec, membership
 from smoothlab.windows import (
     density_check,
     dyadic_partition,
-    even_prime_window_sum,
     prime_window_valuation_sum,
     window_product,
 )
@@ -55,6 +54,22 @@ class TestWindowProduct:
         ]
         assert rep.log_Q_by_prime == math.fsum(t * math.log(p) for p, t in totals)
 
+    @settings(max_examples=40)
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=2, max_value=400),
+        st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]),
+        st.fractions(min_value=Fraction(1, 1), max_value=5, max_denominator=100).filter(
+            lambda c: c > 1),
+    )
+    @example(7, 2, Fraction(1), Fraction(4))  # s_2(48) = 16 = 4^2: a tie
+    @example(3, 400, Fraction(1), Fraction(101, 100))
+    def test_member_count_matches_membership(self, a, N, K, c):
+        seq = SequenceSpec(a)
+        cutoff = CutoffSpec.linear(K)
+        want = sum(membership(seq, n, cutoff, c).member for n in range(N // 2 + 1, N + 1))
+        assert window_product(seq, K, N, c=c).member_count == want
+
 
 class TestPrimeWindowValuationSum:
     def test_examples(self):
@@ -64,6 +79,7 @@ class TestPrimeWindowValuationSum:
         assert prime_window_valuation_sum(seq, 3, 2) == (1, 1)
 
     def test_rejects_two_and_dividing(self):
+        # p = 2 is rejected only where it divides the base
         with pytest.raises(ValueError):
             prime_window_valuation_sum(SequenceSpec(2), 2, 10)
         with pytest.raises(ValueError):
@@ -81,10 +97,10 @@ class TestPrimeWindowValuationSum:
 
 
 class TestEvenPrimeWindowSum:
+    # p = 2 with an odd base: each even n adds v_2(a + 1) - 1 to o_2 + v_2(n)
     def test_examples(self):
-        assert even_prime_window_sum(SequenceSpec(3), 4) == 5
-        assert even_prime_window_sum(SequenceSpec(2), 100) == 0
-        assert even_prime_window_sum(SequenceSpec(5), 2) == 3
+        assert prime_window_valuation_sum(SequenceSpec(3), 2, 4) == (5, 5)
+        assert prime_window_valuation_sum(SequenceSpec(5), 2, 2) == (3, 3)
 
     def test_against_bigint(self):
         # 7, 15, 17, 31, 33 reach v_2(a - 1) or v_2(a + 1) of 3 to 5
@@ -94,7 +110,7 @@ class TestEvenPrimeWindowSum:
                 expected = sum(
                     valuation(a**n - 1, 2) for n in range(N // 2 + 1, N + 1)
                 )
-                assert even_prime_window_sum(seq, N) == expected
+                assert prime_window_valuation_sum(seq, 2, N) == (expected, expected)
 
 
 def dyadic_ratios(a, N):

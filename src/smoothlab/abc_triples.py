@@ -5,20 +5,46 @@ decomposition a^n - 1 = s * t, and the quality of the triple
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, factorize, radical
+from .arith import Factorization, FactorizationError, factorize, radical
 from .orders import SequenceSpec
 from .smooth import CutoffSpec
 
 
 def factor_term(seq: SequenceSpec, n: int) -> Factorization:
-    """Complete factorization of a^n - 1.  Factoring failures propagate
-    with the partial result attached."""
+    """Complete factorization of a^n - 1, one cyclotomic piece at a time.
+
+    a^n - 1 is the product of Phi_d(a) over the divisors d of n, and a
+    prime p not dividing n divides Phi_d(a) only for d = ell_p, so the
+    pieces already keep apart what rho would have to split.  Each piece
+    is Phi_d(a) = (a^d - 1) // prod of Phi_e(a) over e | d, e < d, taken
+    for ascending d.  When a piece exhausts the rho budget, the
+    FactorizationError carries every prime found so far as its partial
+    result and that piece's unfactored composite as its cofactor.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return factorize(seq.base**n - 1)
+    a = seq.base
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = small + [n // d for d in reversed(small) if d * d != n]
+    pieces: dict[int, int] = {}  # d -> Phi_d(a)
+    found: Counter[int] = Counter()  # prime -> exponent summed over pieces
+    for d in divisors:
+        piece = a**d - 1
+        for e, phi in pieces.items():
+            if d % e == 0:
+                piece //= phi
+        pieces[d] = piece
+        try:
+            found.update(dict(factorize(piece)))
+        except FactorizationError as exc:
+            found.update(dict(exc.partial))
+            partial = Factorization(tuple(sorted(found.items())))
+            raise FactorizationError(str(exc), partial, exc.cofactor) from exc
+    return Factorization(tuple(sorted(found.items())))
 
 
 @dataclass(frozen=True)

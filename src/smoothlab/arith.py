@@ -29,10 +29,13 @@ SIEVE_MAX = 10**8
 # Iteration budget per rho split attempt.  Fixed so runs are reproducible.
 RHO_BUDGET = 2**24
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
-# (covers 64-bit and then some).  Larger candidates reuse the same fixed
-# witness list as a documented probabilistic test.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the first 13 primes.  Together they are a
+# proof of primality below psi_13, the least strong pseudoprime to all
+# of them (Sorenson & Webster, 2017).  From psi_13 on, is_prime adds a
+# strong Lucas test, which makes it Baillie-PSW: no composite is known
+# to pass, though none is proven impossible.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 class FactorizationError(Exception):
@@ -141,10 +144,11 @@ def smallest_prime_factors(limit: int) -> array:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24; same fixed witnesses above."""
+    """Miller-Rabin to the 13 fixed witnesses, a proof below psi_13
+    (about 3.3e24); from there on a strong Lucas test too (Baillie-PSW)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -162,7 +166,57 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1 with no factor below
+    43, Selfridge's parameters: the first D in 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would have (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # gcd(D, n) > 1 with |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+
+    # U_k, V_k and Q^k mod n, from k = 1 along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def valuation(m: int, p: int) -> int:
@@ -220,9 +274,10 @@ def factorize(m: int, budget: int = RHO_BUDGET) -> Factorization:
     """Complete factorization of m >= 1.
 
     Trial division by sieved primes up to TRIAL_DIVISION_LIMIT, then
-    deterministic-seeded Pollard rho with Miller-Rabin certification of
-    every cofactor.  Raises FactorizationError (with the partial result)
-    if rho exhausts its budget; never returns a wrong factorization.
+    deterministic-seeded Pollard rho; every cofactor is certified by
+    is_prime, a proof of primality below psi_13 (about 3.3e24) and
+    Baillie-PSW above it.  Raises FactorizationError (with the partial
+    result) if rho exhausts its budget.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

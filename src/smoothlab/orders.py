@@ -8,7 +8,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .arith import primes_upto, smallest_prime_factors, valuation
+from .arith import SIEVE_MAX, primes_upto, smallest_prime_factors, valuation
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,17 @@ def _lift(a: int, k: int, p: int) -> int:
 
 
 def _table(a: int, y: int) -> list[OrderRecord]:
-    """Base a's table, first grown to y in one pass over the new sieved
-    primes p: each prime q of p - 1, read off one smallest-prime-factor
-    array, is stripped from e = p - 1 while a^(e/q) stays 1 mod p, and
-    the order e is then lifted."""
+    """Base a's table, first grown to cover y in one pass over the new
+    sieved primes p: each prime q of p - 1, read off one
+    smallest-prime-factor array, is stripped from e = p - 1 while
+    a^(e/q) stays 1 mod p, and the order e is then lifted.
+
+    Like the prime sieve, a grown table reaches at least twice its old
+    limit (up to SIEVE_MAX), so ascending single lookups rebuild the
+    array O(log y) times; a first build stops at y itself."""
     limit, records = _tables.get(a, (1, []))
     if y > limit:
+        y = max(y, min(2 * limit, SIEVE_MAX))
         primes = primes_upto(y)
         new = [p for p in primes[bisect_right(primes, limit):] if a % p != 0]
         if new:
@@ -78,9 +83,10 @@ def _table(a: int, y: int) -> list[OrderRecord]:
 def order_record(seq: SequenceSpec, p: int) -> OrderRecord:
     """The (p, ell, o) triple of one prime, from the base's table.
 
-    The table first grows to p if it stops below, so one lookup may cost
-    a table build up to p.  Raises ValueError when p is not a prime,
-    divides the base or lies above SIEVE_MAX."""
+    The table first grows past p if it stops below, so one lookup may
+    cost a table build up to max(p, twice the old limit).  Raises
+    ValueError when p is not a prime, divides the base or lies above
+    SIEVE_MAX."""
     records = _table(seq.base, p)
     i = bisect_left(records, p, key=lambda r: r.p)
     if i == len(records) or records[i].p != p:

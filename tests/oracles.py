@@ -1,12 +1,13 @@
 """Slow, independent reference routes the tests compare the library with.
 
-Each one uses only modular arithmetic on the definition, never the order
-records or their tables.
+Each one works on the definition alone: modular arithmetic, or one
+factorize call on the whole number, never the order records, their
+tables or the cyclotomic split.
 """
 
 import math
 
-from smoothlab.arith import primes_upto
+from smoothlab.arith import factorize, primes_upto
 from smoothlab.smooth import CutoffSpec
 
 
@@ -28,3 +29,9 @@ def term_prime_log_sum(seq, K, n):
     return math.fsum(
         math.log(p) for p in primes_upto(y) if a % p != 0 and pow(a, n, p) == 1
     )
+
+
+def term_factorization(seq, n):
+    """Factorization of a^n - 1 taken as one number, without splitting
+    it into cyclotomic pieces first."""
+    return factorize(seq.base**n - 1)

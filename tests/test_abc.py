@@ -1,11 +1,59 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from smoothlab import abc_triples
 from smoothlab.abc_triples import abc_quality, factor_term
-from smoothlab.orders import SequenceSpec
+from smoothlab.arith import FactorizationError, factorize
+from smoothlab.orders import SequenceSpec, order_record
 from smoothlab.smooth import CutoffSpec, membership
+
+from oracles import term_factorization
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def mobius(m):
+    mu, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
+
+
+def cyclotomic_value(d, a):
+    """Phi_d(a) as the product of (a^e - 1)^mu(d/e) over e | d."""
+    num = den = 1
+    for e in divisors(d):
+        mu = mobius(d // e)
+        if mu == 1:
+            num *= a**e - 1
+        elif mu == -1:
+            den *= a**e - 1
+    assert num % den == 0
+    return num // den
+
+
+def factored_pieces(monkeypatch, seq, n):
+    """factor_term(seq, n) and the numbers it handed to factorize."""
+    pieces = []
+
+    def recording(m, *args, **kwargs):
+        pieces.append(m)
+        return factorize(m, *args, **kwargs)
+
+    monkeypatch.setattr(abc_triples, "factorize", recording)
+    return factor_term(seq, n), pieces
 
 
 class TestFactorTerm:
@@ -13,6 +61,50 @@ class TestFactorTerm:
         assert dict(factor_term(SequenceSpec(2), 6)) == {3: 2, 7: 1}
         assert dict(factor_term(SequenceSpec(2), 11)) == {23: 1, 89: 1}
         assert dict(factor_term(SequenceSpec(3), 2)) == {2: 3}
+        # 10^3 - 1 = Phi_1(10) * Phi_3(10) = 9 * 111: 3 sits in both pieces
+        assert dict(factor_term(SequenceSpec(10), 3)) == {3: 3, 37: 1}
+
+    @given(a=st.integers(min_value=2, max_value=30), n=st.integers(min_value=1, max_value=48))
+    @example(a=2, n=48)
+    @example(a=12, n=24)
+    @example(a=23, n=22)
+    @settings(max_examples=60)
+    def test_matches_whole_term_factorization(self, a, n):
+        assume(a**n < 2**120)
+        seq = SequenceSpec(a)
+        assert factor_term(seq, n) == term_factorization(seq, n)
+
+    @pytest.mark.parametrize("a, n", [(2, 600), (2, 1), (3, 240), (10, 72), (12, 90), (7, 97)])
+    def test_pieces_are_the_cyclotomic_values(self, monkeypatch, a, n):
+        got, pieces = factored_pieces(monkeypatch, SequenceSpec(a), n)
+        assert pieces == [cyclotomic_value(d, a) for d in divisors(n)]
+        assert math.prod(pieces) == a**n - 1 == got.value()
+
+    @pytest.mark.parametrize("a, n", [(2, 600), (3, 240), (5, 120), (10, 72), (12, 90)])
+    def test_piece_primes_have_order_d(self, monkeypatch, a, n):
+        # p | Phi_d(a) and p not dividing n give ell_p = d (Zsigmondy's
+        # primitive divisors)
+        seq = SequenceSpec(a)
+        _, pieces = factored_pieces(monkeypatch, seq, n)
+        checked = 0
+        for d, piece in zip(divisors(n), pieces):
+            for p, _ in factorize(piece).restrict(10**5):
+                if n % p != 0:
+                    assert order_record(seq, p).ell == d, (d, p)
+                    checked += 1
+        assert checked >= 10
+
+    def test_budget_failure_keeps_earlier_pieces(self, monkeypatch):
+        # 3^65 - 1: Phi_1(3) = 2, Phi_5(3) = 11^2 and Phi_13(3) = 797161
+        # factor by trial division; Phi_65(3) = 131 * 3701101 *
+        # 110133112994711 leaves a composite rho cannot split in 100 steps.
+        monkeypatch.setattr(abc_triples, "factorize", functools.partial(factorize, budget=100))
+        with pytest.raises(FactorizationError) as exc:
+            factor_term(SequenceSpec(3), 65)
+        partial, cofactor = exc.value.partial, exc.value.cofactor
+        assert dict(partial) == {2: 1, 11: 2, 131: 1, 797161: 1}
+        assert cofactor == 3701101 * 110133112994711
+        assert (3**65 - 1) % (partial.value() * cofactor) == 0
 
 
 class TestAbcQuality:

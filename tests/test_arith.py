@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -75,6 +76,37 @@ class TestSmallestPrimeFactors:
                 smallest_prime_factors(limit)
 
 
+# Least strong pseudoprimes to the first 12 and the first 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+class TestIsPrime:
+    def test_small_numbers(self):
+        # every witness, 41 included, is itself prime
+        assert [n for n in range(-2, 300) if is_prime(n)] == sieve_primes(299)
+
+    @pytest.mark.parametrize("n", [PSI_12, PSI_13])
+    def test_strong_pseudoprimes_to_every_witness_below(self, n):
+        assert not is_prime(n)
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261018)
+        sample = [rng.randrange(2**64, 2**200) | 1 for _ in range(400)]
+        for _ in range(100):
+            p, q = (sympy.nextprime(rng.getrandbits(rng.randint(40, 90))) for _ in range(2))
+            sample += [p, p * q]
+        # Chernick's Carmichael numbers (6k + 1)(12k + 1)(18k + 1)
+        for k in range(1, 20000):
+            factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            if all(sympy.isprime(f) for f in factors):
+                sample.append(math.prod(factors))
+        sample += [2**89 - 1, 2**127 - 1, (2**127 - 1) ** 2]
+        for n in sample:
+            assert is_prime(n) == sympy.isprime(n), n
+
+
 class TestValuation:
     def test_unit(self):
         assert valuation(1, 7) == 0
@@ -130,6 +162,9 @@ class TestFactorize:
             factorize(7 * p * q, budget=100)
         assert exc.value.cofactor == p * q
         assert dict(exc.value.partial) == {7: 1}
+
+    def test_splits_a_strong_pseudoprime(self):
+        assert dict(factorize(PSI_12)) == {399165290221: 1, 798330580441: 1}
 
     def test_rho_splits_semiprime_past_trial_range(self):
         f = factorize(1000003 * 1000033)

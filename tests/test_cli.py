@@ -1,3 +1,4 @@
+import functools
 import json
 import time
 from fractions import Fraction
@@ -17,6 +18,7 @@ from oracles import term_prime_log_sum
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "output-schema.json").read_text()
 )
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -237,6 +239,15 @@ class TestAbcCommand:
         assert row["rad_ABC"] == "42"
         assert row["quality"] == pytest.approx(1.1126941404922133)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_pinned_output(self, runner, fmt):
+        # the benchmark's anchor term, byte for byte as factoring 2^600 - 1
+        # whole printed it
+        result = runner.invoke(main, ["abc", "--base", "2", "--n", "600", "--K", "1",
+                                      "--c", "101/100", "--format", fmt])
+        assert result.exit_code == 0
+        assert result.output == (DATA / f"abc_base2_n600.{fmt}").read_text()
+
 
 class TestFactoringFailureExit:
     def test_exit_code_3(self, runner, monkeypatch):
@@ -250,6 +261,21 @@ class TestFactoringFailureExit:
         result = runner.invoke(main, ["abc", "--base", "2", "--n", "6", "--K", "1",
                                       "--c", "6/5"])
         assert result.exit_code == 3
+
+    def test_cofactor_is_the_failing_piece(self, runner, monkeypatch):
+        # 3^65 - 1 fails on its last cyclotomic piece, Phi_65(3), and
+        # names only that piece's unfactored part
+        from smoothlab import abc_triples
+        from smoothlab.arith import factorize
+
+        monkeypatch.setattr(abc_triples, "factorize", functools.partial(factorize, budget=100))
+        result = runner.invoke(main, ["abc", "--base", "3", "--n", "65", "--K", "1",
+                                      "--c", "3/2"])
+        assert result.exit_code == 3
+        cofactor = 3701101 * 110133112994711
+        assert result.output == (
+            f"error: rho budget exhausted on cofactor {cofactor} (unfactored cofactor {cofactor})\n"
+        )
 
 
 class TestBinomialCommand:

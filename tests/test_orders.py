@@ -160,6 +160,20 @@ class TestOrderRecordsBatch:
             assert order_records(seq, y) == grown
         assert [(r.p, r.ell, r.o) for r in grown] == expected
 
+    def test_ascending_lookups_grow_the_table_geometrically(self, monkeypatch):
+        builds = []
+
+        def counted(limit):
+            builds.append(limit)
+            return arith.smallest_prime_factors(limit)
+
+        monkeypatch.setattr(orders, "smallest_prime_factors", counted)
+        monkeypatch.setattr(orders, "_tables", {})
+        seq = SequenceSpec(3)
+        got = [order_record(seq, p) for p in sieve_primes(4 * 10**4) if p != 3]
+        assert len(builds) <= 20
+        assert got == order_records(seq, 4 * 10**4)
+
     def test_batch_build_skips_prime_test_and_factoring(self, monkeypatch):
         calls = []
 

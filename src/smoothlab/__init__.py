@@ -24,7 +24,6 @@ from .smooth import (
     CountingReport,
     CutoffSpec,
     MembershipVerdict,
-    SmoothPartRecord,
     counting_report,
     enumerate_members,
     membership,

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, FactorizationError, factorize, radical
+from .arith import Factorization, FactorizationError, divisors, factorize, radical
 from .orders import SequenceSpec
 from .smooth import CutoffSpec
 
@@ -28,11 +28,9 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
     if n < 1:
         raise ValueError("n must be >= 1")
     a = seq.base
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    divisors = small + [n // d for d in reversed(small) if d * d != n]
     pieces: dict[int, int] = {}  # d -> Phi_d(a)
     found: Counter[int] = Counter()  # prime -> exponent summed over pieces
-    for d in divisors:
+    for d in divisors(n):
         piece = a**d - 1
         for e, phi in pieces.items():
             if d % e == 0:

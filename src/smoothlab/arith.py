@@ -316,6 +316,14 @@ def factorize(m: int, budget: int = RHO_BUDGET) -> Factorization:
     return Factorization(tuple(sorted(found.items())))
 
 
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, from factorize(n)."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
 def radical(m: int) -> int:
     """Product of the distinct primes dividing m; radical(1) = 1."""
     return factorize(m).radical()

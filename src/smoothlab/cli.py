@@ -1,6 +1,10 @@
 """Command-line surface.  Every subcommand emits machine-readable JSON
 (default) or CSV, deterministically: identical inputs give byte-identical
-output.  --threads is accepted and ignored."""
+output.  --threads is accepted and ignored.
+
+A result row is its report's fields in declaration order (vars of the
+report), except for svalue, abc and binomial, whose rows are written out
+here because they print integers as strings or leave report fields out."""
 
 from __future__ import annotations
 
@@ -170,15 +174,7 @@ def membership_cmd(base, n, K, theta, c):
     cutoff = _cutoff(K, theta)
     v = membership(SequenceSpec(base), n, cutoff, c)
     params = {"base": base, "n": n, "cutoff": cutoff.describe(), "c": c}
-    return params, [{
-        "n": v.n,
-        "cutoff_y": cutoff.value_at(n),
-        "log_s": v.log_s,
-        "threshold": v.threshold,
-        "member": v.member,
-        "margin": v.margin,
-        "exact_tiebreak_used": v.exact_tiebreak_used,
-    }]
+    return params, [vars(v)]
 
 
 @main.command("enumerate")
@@ -207,16 +203,11 @@ def svalue_cmd(base, n, y, K, theta, materialize):
     """Smooth part of base^n - 1 at one cutoff."""
     if y is None:
         y = _cutoff(K, theta).value_at(n)
-    rec = smooth_part_of_term(SequenceSpec(base), n, y, materialize=materialize)
+    factors = smooth_part_of_term(SequenceSpec(base), n, y)
     params = {"base": base, "n": n, "y": y, "materialize": materialize}
-    row = {
-        "n": n,
-        "cutoff_y": y,
-        "factors": rec.factors,
-        "log_value": rec.log_value,
-    }
+    row = {"n": n, "cutoff_y": y, "factors": factors, "log_value": factors.log_value()}
     if materialize:
-        row["exact_value"] = str(rec.exact_value)
+        row["exact_value"] = str(factors.value())
     return params, [row]
 
 
@@ -229,17 +220,7 @@ def snk_cmd(base, n, K):
     """Log-sum over primes dividing base^n - 1 below the cutoff, the
     per-prime order records, and the counting bound."""
     rep = counting_report(SequenceSpec(base), K, n)
-    params = {"base": base, "n": n, "K": K}
-    rows = [{
-        "n": n,
-        "prime_count": rep.prime_count,
-        "log_sum": rep.log_sum,
-        "normalized": rep.normalized,
-        "bound": rep.bound,
-        "bound_holds": rep.bound_holds,
-        "records": rep.records,
-    }]
-    return params, rows
+    return {"base": base, "n": n, "K": K}, [vars(rep)]
 
 
 @main.command("window")
@@ -253,16 +234,7 @@ def window_cmd(base, N, K, c):
     """Windowed product of smooth parts over (N/2, N], both evaluation
     orders."""
     rep = window_product(SequenceSpec(base), K, N, c=c)
-    params = {"base": base, "N": N, "K": K, "c": c}
-    rows = [{
-        "N": N,
-        "cutoff_y": rep.cutoff_y,
-        "log_Q": rep.log_Q,
-        "log_Q_by_prime": rep.log_Q_by_prime,
-        "agreement_delta": rep.agreement_delta,
-        "member_count": rep.member_count,
-    }]
-    return params, rows
+    return {"base": base, "N": N, "K": K, "c": c}, [vars(rep)]
 
 
 @main.command("dyadic")
@@ -277,17 +249,7 @@ def dyadic_cmd(base, N, K, y):
     if y is None:
         y = default_y(N)
     rep = dyadic_partition(SequenceSpec(base), K, N, y)
-    params = {"base": base, "N": N, "K": K, "y": y}
-    rows = [{
-        "N": N,
-        "y": rep.y,
-        "Q1_size": rep.Q1_size,
-        "Q2_size": rep.Q2_size,
-        "S1": rep.S1,
-        "S2": rep.S2,
-        "I": rep.I,
-    }]
-    return params, rows
+    return {"base": base, "N": N, "K": K, "y": y}, [vars(rep)]
 
 
 @main.command("bounds")
@@ -321,13 +283,7 @@ def bounds_cmd(N, p, precision, check_base, check_c, K, theta):
         cutoff = _cutoff(K, theta)
         params.update({"check_base": check_base, "check_c": check_c,
                        "cutoff": cutoff.describe()})
-        for r in density_check(SequenceSpec(check_base), cutoff, check_c, N):
-            rows.append({
-                "window_upper": r.upper,
-                "member_count": r.member_count,
-                "density_bound": r.bound,
-                "ratio": r.ratio,
-            })
+        rows += map(vars, density_check(SequenceSpec(check_base), cutoff, check_c, N))
     return params, rows
 
 

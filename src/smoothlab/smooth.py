@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, primes_upto
+from .arith import Factorization, divisors, primes_upto
 from .orders import OrderRecord, SequenceSpec, order_records, term_valuation_direct
 
 # Relative width of the band around the threshold inside which the
@@ -88,19 +88,9 @@ class CutoffSpec:
 
 
 @dataclass(frozen=True)
-class SmoothPartRecord:
-    n: int
-    cutoff_y: int
-    factors: Factorization
-    log_value: float  # natural log
-    exact_value: int | None = None
-
-
-@dataclass(frozen=True)
 class MembershipVerdict:
     n: int
-    cutoff: CutoffSpec
-    c: Fraction
+    cutoff_y: int
     log_s: float
     threshold: float  # n * ln c
     member: bool
@@ -108,10 +98,8 @@ class MembershipVerdict:
     exact_tiebreak_used: bool
 
 
-def smooth_part_of_term(
-    seq: SequenceSpec, n: int, y: int, materialize: bool = False
-) -> SmoothPartRecord:
-    """s_y(a^n - 1) assembled prime by prime.
+def smooth_part_of_term(seq: SequenceSpec, n: int, y: int) -> Factorization:
+    """The factors of s_y(a^n - 1), assembled prime by prime.
 
     A prime p <= y (with p not dividing the base) contributes exactly
     when a^n = 1 mod p; its exponent comes from term_valuation_direct.
@@ -124,10 +112,7 @@ def smooth_part_of_term(
         if a % p == 0 or pow(a, n, p) != 1:
             continue
         entries.append((p, term_valuation_direct(seq, n, p)))
-    factors = Factorization(tuple(entries))
-    log_value = factors.log_value()
-    exact = factors.value() if materialize else None
-    return SmoothPartRecord(n=n, cutoff_y=y, factors=factors, log_value=log_value, exact_value=exact)
+    return Factorization(tuple(entries))
 
 
 def _threshold_base(c) -> Fraction:
@@ -138,10 +123,11 @@ def _threshold_base(c) -> Fraction:
     return c
 
 
-def _decide(n: int, cutoff: CutoffSpec, c: Fraction, factors: Factorization) -> MembershipVerdict:
-    """Verdict on s > c^n from the factors of s = s_{y(n)}(a^n - 1), in
-    log space; near-ties inside the guard band are settled in exact
-    integer arithmetic with c = P/Q."""
+def _decide(n: int, y: int, c: Fraction, factors: Factorization) -> MembershipVerdict:
+    """Verdict on s > c^n for s = s_y(a^n - 1), from the factors of the
+    smooth part at any cutoff >= y, in log space; near-ties inside the
+    guard band are settled in exact integer arithmetic with c = P/Q."""
+    factors = factors.restrict(y)
     log_s = factors.log_value()
     threshold = n * math.log(c)
     margin = log_s - threshold
@@ -152,8 +138,7 @@ def _decide(n: int, cutoff: CutoffSpec, c: Fraction, factors: Factorization) -> 
         member = margin > 0
     return MembershipVerdict(
         n=n,
-        cutoff=cutoff,
-        c=c,
+        cutoff_y=y,
         log_s=log_s,
         threshold=threshold,
         member=member,
@@ -165,7 +150,8 @@ def _decide(n: int, cutoff: CutoffSpec, c: Fraction, factors: Factorization) -> 
 def membership(seq: SequenceSpec, n: int, cutoff: CutoffSpec, c) -> MembershipVerdict:
     """Decide s_{y(n)}(a^n - 1) > c^n, exactly."""
     c = _threshold_base(c)
-    return _decide(n, cutoff, c, smooth_part_of_term(seq, n, cutoff.value_at(n)).factors)
+    y = cutoff.value_at(n)
+    return _decide(n, y, c, smooth_part_of_term(seq, n, y))
 
 
 def enumerate_members(seq: SequenceSpec, cutoff: CutoffSpec, c, N: int) -> list[int]:
@@ -182,7 +168,6 @@ class CountingReport:
     """Prime count against its certified combinatorial ceiling."""
 
     n: int
-    K: Fraction
     prime_count: int
     log_sum: float
     normalized: float  # log_sum / sqrt(K * n)
@@ -207,19 +192,16 @@ def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
     log_sum = math.fsum(math.log(r.p) for r in records)
     a = seq.base
     bound = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for div in {d, n // d}:
-                count = y // div + 1
-                if count > div:
-                    count = min(count, (a**div).bit_length() - 1)
-                bound += count
-        d += 1
-    normalized = log_sum / math.sqrt(float(K) * n)
+    for d in divisors(n):
+        count = y // d + 1
+        if count > d:
+            count = min(count, (a**d).bit_length() - 1)
+        bound += count
+    # float(K) underflows to 0 only where K*n < 2 (for n within a double),
+    # which leaves no records
+    normalized = log_sum / math.sqrt(float(K) * n) if records else 0.0
     return CountingReport(
         n=n,
-        K=K,
         prime_count=len(records),
         log_sum=log_sum,
         normalized=normalized,

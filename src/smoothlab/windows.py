@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import valuation
 from .bounds import density_bound
@@ -53,15 +52,11 @@ def _lte_window_sum(seq: SequenceSpec, rec: OrderRecord, N: int) -> int:
 @dataclass(frozen=True)
 class WindowReport:
     N: int
-    K: Fraction
     cutoff_y: int
     log_Q: float  # n-major evaluation
     log_Q_by_prime: float  # p-major evaluation
-    member_count: int | None = None
-
-    @property
-    def agreement_delta(self) -> float:
-        return abs(self.log_Q - self.log_Q_by_prime)
+    agreement_delta: float  # |log_Q - log_Q_by_prime|
+    member_count: int | None
 
 
 def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
@@ -70,8 +65,8 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
     run over primes with the lifting-the-exponent counts.
 
     member_count (against the threshold c^n at cutoff Kn) is filled only
-    when c is supplied; each n is decided from its term above, restricted
-    to the primes <= floor(Kn), exactly as membership decides it.
+    when c is supplied; each n is decided from its term above exactly as
+    membership decides it.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -79,7 +74,7 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
     y = cutoff.value_at(N)
 
     terms = [smooth_part_of_term(seq, n, y) for n in _window(N)]
-    log_q = math.fsum(t.log_value for t in terms)
+    log_q = math.fsum(t.log_value() for t in terms)
 
     log_q_by_prime = math.fsum(
         _lte_window_sum(seq, rec, N) * math.log(rec.p) for rec in order_records(seq, y)
@@ -88,15 +83,15 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
     member_count = None
     if c is not None:
         c = _threshold_base(c)
-        member_count = sum(_decide(t.n, cutoff, c, t.factors.restrict(cutoff.value_at(t.n))).member
-                           for t in terms)
+        member_count = sum(_decide(n, cutoff.value_at(n), c, t).member
+                           for n, t in zip(_window(N), terms))
 
     return WindowReport(
         N=N,
-        K=cutoff.param,
         cutoff_y=y,
         log_Q=log_q,
         log_Q_by_prime=log_q_by_prime,
+        agreement_delta=abs(log_q - log_q_by_prime),
         member_count=member_count,
     )
 
@@ -120,7 +115,6 @@ def _dyadic_index(ell: int) -> int:
 @dataclass(frozen=True)
 class DyadicReport:
     N: int
-    K: Fraction
     y: float
     Q1_size: int
     Q2_size: int
@@ -153,7 +147,6 @@ def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
 
     return DyadicReport(
         N=N,
-        K=cutoff.param,
         y=y,
         Q1_size=q1,
         Q2_size=q2,
@@ -165,9 +158,9 @@ def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
 
 @dataclass(frozen=True)
 class DensityRow:
-    upper: float  # window is (upper/2, upper]
+    window_upper: float  # window is (window_upper/2, window_upper]
     member_count: int
-    bound: float | None  # density bound at floor(upper), when defined
+    density_bound: float | None  # at floor(window_upper), when defined
     ratio: float | None
 
 
@@ -189,6 +182,6 @@ def density_check(seq: SequenceSpec, cutoff: CutoffSpec, c, N: int) -> list[Dens
             ratio = count / bound
         else:
             bound = ratio = None
-        rows.append(DensityRow(upper=upper, member_count=count, bound=bound, ratio=ratio))
+        rows.append(DensityRow(upper, count, bound, ratio))
         upper = lower
     return rows

@@ -148,8 +148,8 @@ class TestAbcQuality:
             seq = SequenceSpec(a)
             for n in range(2, 20):
                 rep = abc_quality(seq, n, 1, Fraction(a + 1, 2) if a > 2 else Fraction(3, 2))
-                engine = smooth_part_of_term(seq, n, n, materialize=True)
-                assert rep.s_factors == engine.factors
+                engine = smooth_part_of_term(seq, n, n)
+                assert rep.s_factors == engine
 
     @pytest.mark.parametrize("a, c", [(3, Fraction(3, 2)), (9, Fraction(9, 8))])
     def test_cofactor_tie_is_not_below(self, a, c):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from smoothlab.arith import (
     SIEVE_MAX,
     Factorization,
+    divisors,
     factorize,
     is_prime,
     radical,
@@ -175,6 +176,12 @@ class TestFactorize:
             Factorization(((3, 1), (2, 1)))
         with pytest.raises(ValueError):
             Factorization(((2, 0),))
+
+
+class TestDivisors:
+    def test_brute_force(self):
+        for n in range(1, 2001):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 class TestRadical:

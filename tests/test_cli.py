@@ -324,3 +324,67 @@ def test_cutoff_above_sieve_limit_is_a_domain_error(runner, command, cutoff):
     assert result.output == (
         f"error: prime cutoff {cutoff} exceeds the sieve limit SIEVE_MAX = {SIEVE_MAX}\n"
     )
+
+
+PINNED = json.loads((DATA / "cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("entry", PINNED, ids=[e["command"] for e in PINNED])
+def test_every_subcommand_output_is_pinned(runner, entry):
+    # A row is its report's fields, so a field added to a report would
+    # otherwise become an output column unnoticed.  Re-record this file
+    # only when the output is meant to change.
+    result = runner.invoke(main, entry["command"].split())
+    assert result.exit_code == 0, result.output
+    assert result.stdout == entry["stdout"]
+
+
+def test_tiny_K_snk_has_no_primes(runner):
+    # float(1e-400) underflows to 0; floor(Kn) = 0 leaves nothing to count
+    doc = invoke_json(runner, ["snk", "--base", "2", "--n", "100", "--K", "1e-400"])
+    row = doc["results"][0]
+    assert row["prime_count"] == 0
+    assert row["normalized"] == 0
+
+
+def _edge_grid():
+    bases = ["2", "3", "4", "9"]
+    Ks = ["1/1000", "1/3", "1", "3/2"]
+    cutoffs = [["--K", k] for k in Ks] + [["--theta", t] for t in ("1/1000", "1/2", "1999/1000")]
+    for b in bases:
+        for cut in cutoffs:
+            yield ["membership", "--base", b, "--n", "5", *cut, "--c", "6/5"]
+            yield ["enumerate", "--base", b, "--N", "5", *cut, "--c", "6/5"]
+            yield ["svalue", "--base", b, "--n", "5", *cut]
+            yield ["bounds", "--N", "5", "--check-base", b, "--check-c", "6/5", *cut]
+        for k in Ks:
+            yield ["snk", "--base", b, "--n", "5", "--K", k]
+            yield ["window", "--base", b, "--N", "5", "--K", k, "--c", "6/5"]
+            yield ["dyadic", "--base", b, "--N", "5", "--K", k]
+            yield ["abc", "--base", b, "--n", "5", "--K", k, "--c", "3/2"]
+    for N in ["2", "3", "4", "5"]:
+        yield ["enumerate", "--base", "2", "--N", N, "--K", "1", "--c", "6/5"]
+        yield ["window", "--base", "2", "--N", N, "--K", "1"]
+        yield ["dyadic", "--base", "2", "--N", N, "--K", "1"]
+        yield ["bounds", "--N", N, "--p", "17"]
+        yield ["binomial", "--N", N]
+        yield ["binomial", "--n", N]
+    for y in ["0", "-1", "1e-320", "1e308", "nan", "inf"]:
+        yield ["dyadic", "--base", "2", "--N", "5", "--K", "1", "--y", y]
+    for c in ["1e400", "1.0000000000000000000001", "1/0", "-2"]:
+        yield ["membership", "--base", "2", "--n", "5", "--K", "1", "--c", c]
+        yield ["enumerate", "--base", "2", "--N", "5", "--K", "1", "--c", c]
+        yield ["window", "--base", "2", "--N", "5", "--K", "1", "--c", c]
+        yield ["bounds", "--N", "5", "--check-base", "2", "--K", "1", "--check-c", c]
+        yield ["abc", "--base", "2", "--n", "5", "--K", "1", "--c", c]
+    for k in ["1e-400", "1e400"]:
+        yield ["snk", "--base", "2", "--n", "100", "--K", k]
+
+
+def test_edge_inputs_exit_0_2_or_3(runner):
+    # exit 1 is an uncaught exception
+    calls = list(_edge_grid())
+    bad = [(args, result.exit_code, result.output) for args in calls
+           if (result := runner.invoke(main, args)).exit_code not in (0, 2, 3)]
+    assert len(calls) > 200
+    assert not bad

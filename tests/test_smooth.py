@@ -62,40 +62,40 @@ class TestCutoffSpec:
 
 class TestSmoothPartOfTerm:
     def test_examples(self):
-        rec = smooth_part_of_term(SequenceSpec(2), 6, 6, materialize=True)
-        assert dict(rec.factors) == {3: 2}
-        assert rec.exact_value == 9
-        rec = smooth_part_of_term(SequenceSpec(2), 4, 4, materialize=True)
-        assert dict(rec.factors) == {3: 1}
-        assert rec.exact_value == 3
-        rec = smooth_part_of_term(SequenceSpec(2), 3, 4, materialize=True)
-        assert rec.factors.entries == ()
-        assert rec.exact_value == 1
-        rec = smooth_part_of_term(SequenceSpec(3), 1, 2, materialize=True)
-        assert dict(rec.factors) == {2: 1}
-        assert rec.exact_value == 2
+        rec = smooth_part_of_term(SequenceSpec(2), 6, 6)
+        assert dict(rec) == {3: 2}
+        assert rec.value() == 9
+        rec = smooth_part_of_term(SequenceSpec(2), 4, 4)
+        assert dict(rec) == {3: 1}
+        assert rec.value() == 3
+        rec = smooth_part_of_term(SequenceSpec(2), 3, 4)
+        assert rec.entries == ()
+        assert rec.value() == 1
+        rec = smooth_part_of_term(SequenceSpec(3), 1, 2)
+        assert dict(rec) == {2: 1}
+        assert rec.value() == 2
 
     def test_oracle_equivalence(self):
         for a in (2, 3, 10):
             seq = SequenceSpec(a)
             for n in range(1, 30):
                 for y in (10, 100):
-                    got = smooth_part_of_term(seq, n, y, materialize=True)
+                    got = smooth_part_of_term(seq, n, y)
                     want_value, want_factors = smooth_part_oracle(a**n - 1, y)
                     # primes dividing the base never divide a^n - 1, so
                     # the oracle's factorization agrees entry for entry
-                    assert got.exact_value == want_value
-                    assert got.factors == want_factors
+                    assert got.value() == want_value
+                    assert got == want_factors
 
     def test_log_matches_value(self):
-        rec = smooth_part_of_term(SequenceSpec(2), 20, 100, materialize=True)
-        assert rec.log_value == pytest.approx(math.log(rec.exact_value), rel=1e-12)
+        rec = smooth_part_of_term(SequenceSpec(2), 20, 100)
+        assert rec.log_value() == pytest.approx(math.log(rec.value()), rel=1e-12)
 
     def test_monotone_in_cutoff(self):
         seq = SequenceSpec(3)
         prev = -1.0
         for y in (2, 5, 20, 100, 500):
-            log_s = smooth_part_of_term(seq, 24, y).log_value
+            log_s = smooth_part_of_term(seq, 24, y).log_value()
             assert log_s >= prev
             prev = log_s
 
@@ -214,3 +214,11 @@ class TestCountingReport:
                         if n % d == 0
                     )
                     assert counting_report(SequenceSpec(a), K, n).bound == want
+
+    def test_bound_at_large_n(self):
+        # 10^16 has 289 divisors; the bound needs them without a search up
+        # to 10^8.  With a = 2, floor(d * log2 a) = d.
+        n, K = 10**16, Fraction(1, 10**11)
+        y = 10**5
+        want = sum(min(y // d + 1, d) for d in (2**i * 5**j for i in range(17) for j in range(17)))
+        assert counting_report(SequenceSpec(2), K, n).bound == want

@@ -206,7 +206,7 @@ class TestDensityCheck:
         rows = density_check(SequenceSpec(2), CutoffSpec.linear(1), 2, 64)
         assert len(rows) == math.ceil(math.log2(64))
         for row in rows:
-            assert 0 <= row.member_count <= row.upper / 2 + 1
+            assert 0 <= row.member_count <= row.window_upper / 2 + 1
 
     @pytest.mark.parametrize("N", [3, 7, 45, 127, 201])
     def test_window_counts_match_membership(self, N):
@@ -214,7 +214,7 @@ class TestDensityCheck:
         seq, cutoff, c = SequenceSpec(3), CutoffSpec.linear(1), Fraction(101, 100)
         members = [n for n in range(1, N + 1) if membership(seq, n, cutoff, c).member]
         for row in density_check(seq, cutoff, c, N):
-            want = sum(1 for n in members if row.upper / 2 < n <= row.upper)
+            want = sum(1 for n in members if row.window_upper / 2 < n <= row.window_upper)
             assert row.member_count == want
 
     def test_total_count_matches_enumeration(self):

@@ -14,6 +14,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 
 # Trial division handles primes up to this bound; beyond it Pollard rho
 # takes over.
@@ -97,7 +98,7 @@ def sieve_primes(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if mark[p]:
             mark[p * p :: p] = bytearray((limit - p * p) // p + 1)
-    return [i for i in range(2, limit + 1) if mark[i]]
+    return list(compress(range(limit + 1), mark))
 
 
 # (limit, ascending primes <= limit), replaced whole so readers always

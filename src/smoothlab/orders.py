@@ -5,6 +5,7 @@ a^n - 1 itself.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -32,10 +33,18 @@ class OrderRecord:
     o: int
 
 
-# base -> (limit, records): the record of every prime p <= limit not
-# dividing the base, ascending.  Only _table writes here, and only by
-# raising a base's limit.
-_tables: dict[int, tuple[int, list[OrderRecord]]] = {}
+# base -> (limit, ps, ells, os): the record (p, ells[i], os[i]) of every
+# prime p = ps[i] <= limit not dividing the base, as ascending parallel
+# array("I") columns.  Only _table writes here, and only by swapping in a
+# whole new tuple for a higher limit; no column is changed in place.
+_tables: dict[int, tuple[int, array, array, array]] = {}
+
+_EMPTY_TABLE = (1, array("I"), array("I"), array("I"))
+
+# Largest o an array("I") column holds.  p^o divides a^ell - 1, so
+# o < ell * log2(a) / log2(p): a base of fewer than 2^32 / (p - 1) bits
+# never reaches it.
+_O_MAX = 2**32 - 1
 
 
 def _lift(a: int, k: int, p: int) -> int:
@@ -49,23 +58,27 @@ def _lift(a: int, k: int, p: int) -> int:
     return o
 
 
-def _table(a: int, y: int) -> list[OrderRecord]:
-    """Base a's table, first grown to cover y in one pass over the new
-    sieved primes p: each prime q of p - 1, read off one
-    smallest-prime-factor array, is stripped from e = p - 1 while
+def _table(a: int, y: int) -> tuple[array, array, array]:
+    """Base a's columns (ps, ells, os), first grown to cover y in one
+    pass over the new sieved primes p: each prime q of p - 1, read off
+    one smallest-prime-factor array, is stripped from e = p - 1 while
     a^(e/q) stays 1 mod p, and the order e is then lifted.
 
-    Like the prime sieve, a grown table reaches at least twice its old
-    limit (up to SIEVE_MAX), so ascending single lookups rebuild the
-    array O(log y) times; a first build stops at y itself."""
-    limit, records = _tables.get(a, (1, []))
+    The new range's columns are built apart and the table is swapped in
+    whole as one (limit, ps, ells, os) tuple of concatenated arrays, so an
+    interrupted pass leaves the old table as it was.  Like the prime
+    sieve, a grown table reaches at least twice its old limit (up to
+    SIEVE_MAX), so ascending single lookups rebuild the array O(log y)
+    times; a first build stops at y itself.  Raises ValueError for an
+    o above _O_MAX."""
+    limit, ps, ells, os = _tables.get(a, _EMPTY_TABLE)
     if y > limit:
         y = max(y, min(2 * limit, SIEVE_MAX))
         primes = primes_upto(y)
-        new = [p for p in primes[bisect_right(primes, limit):] if a % p != 0]
+        new = array("I", [p for p in primes[bisect_right(primes, limit):] if a % p != 0])
+        new_ells, new_os = array("I"), array("I")
         if new:
             spf = smallest_prime_factors(new[-1] - 1)
-            grown = []  # appended whole, so an interrupted pass leaves no part
             for p in new:
                 e = m = p - 1
                 while m > 1:
@@ -74,10 +87,23 @@ def _table(a: int, y: int) -> list[OrderRecord]:
                         m //= q
                     while e % q == 0 and pow(a, e // q, p) == 1:
                         e //= q
-                grown.append(OrderRecord(p, e, _lift(a, e, p)))
-            records.extend(grown)
-        _tables[a] = (y, records)
-    return records
+                o = _lift(a, e, p)
+                if o > _O_MAX:
+                    raise ValueError(f"o_{p} = {o} exceeds {_O_MAX}, the most the order table holds")
+                new_ells.append(e)
+                new_os.append(o)
+        ps, ells, os = ps + new, ells + new_ells, os + new_os
+        _tables[a] = (y, ps, ells, os)
+    return ps, ells, os
+
+
+def _columns(seq: SequenceSpec, y: int) -> tuple[array, array, array]:
+    """The columns (ps, ells, os) of the base's table cut at the primes
+    <= y, grown first if they stop below: the rows of
+    order_records(seq, y) without an OrderRecord per row."""
+    ps, ells, os = _table(seq.base, y)
+    k = bisect_right(ps, y)
+    return ps[:k], ells[:k], os[:k]
 
 
 def order_record(seq: SequenceSpec, p: int) -> OrderRecord:
@@ -87,18 +113,17 @@ def order_record(seq: SequenceSpec, p: int) -> OrderRecord:
     cost a table build up to max(p, twice the old limit).  Raises
     ValueError when p is not a prime, divides the base or lies above
     SIEVE_MAX."""
-    records = _table(seq.base, p)
-    i = bisect_left(records, p, key=lambda r: r.p)
-    if i == len(records) or records[i].p != p:
+    ps, ells, os = _table(seq.base, p)
+    i = bisect_left(ps, p)
+    if i == len(ps) or ps[i] != p:
         raise ValueError(f"{p} is not a prime coprime to the base {seq.base}")
-    return records[i]
+    return OrderRecord(p, ells[i], os[i])
 
 
 def order_records(seq: SequenceSpec, y: int) -> list[OrderRecord]:
     """order_record for every prime p <= y not dividing the base,
-    ascending: a slice of the base's table."""
-    records = _table(seq.base, y)
-    return records[: bisect_right(records, y, key=lambda r: r.p)]
+    ascending: rows of the base's table."""
+    return list(map(OrderRecord, *_columns(seq, y)))
 
 
 def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Factorization, divisors, primes_upto
-from .orders import OrderRecord, SequenceSpec, order_records, term_valuation_direct
+from .orders import OrderRecord, SequenceSpec, _columns, term_valuation_direct
 
 # Relative width of the band around the threshold inside which the
 # membership decision is re-made in exact integer arithmetic.
@@ -188,7 +188,7 @@ def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
     """
     K = Fraction(K)
     y = CutoffSpec.linear(K).value_at(n)
-    records = [rec for rec in order_records(seq, y) if n % rec.ell == 0]
+    records = [OrderRecord(p, ell, o) for p, ell, o in zip(*_columns(seq, y)) if n % ell == 0]
     log_sum = math.fsum(math.log(r.p) for r in records)
     a = seq.base
     bound = 0

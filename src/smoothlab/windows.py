@@ -16,6 +16,7 @@ from .bounds import density_bound
 from .orders import (
     OrderRecord,
     SequenceSpec,
+    _columns,
     order_record,
     order_records,
     term_valuation_direct,
@@ -136,14 +137,14 @@ def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
     q1_sum = 0.0
     q1 = q2 = 0
     max_ell_q2 = 0
-    for rec in order_records(seq, cutoff.value_at(N)):
-        r = rec.o * math.log(rec.p) / rec.ell
+    for p, ell, o in zip(*_columns(seq, cutoff.value_at(N))):
+        r = o * math.log(p) / ell
         if r < threshold:
             q1 += 1
             q1_sum += r
         else:
             q2 += 1
-            max_ell_q2 = max(max_ell_q2, rec.ell)
+            max_ell_q2 = max(max_ell_q2, ell)
 
     return DyadicReport(
         N=N,

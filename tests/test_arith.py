@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,11 @@ class TestSieve:
         expected = [n for n in range(2, 101) if trial_division_is_prime(n)]
         assert sieve_primes(100) == expected
         assert len(sieve_primes(100)) == 25
+
+    def test_every_limit_to_3000_against_trial_division(self):
+        expected = [n for n in range(2, 3001) if trial_division_is_prime(n)]
+        for limit in range(3001):
+            assert sieve_primes(limit) == expected[: bisect_right(expected, limit)]
 
 
 class TestSmallestPrimeFactors:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -173,6 +174,63 @@ class TestOrderRecordsBatch:
         got = [order_record(seq, p) for p in sieve_primes(4 * 10**4) if p != 3]
         assert len(builds) <= 20
         assert got == order_records(seq, 4 * 10**4)
+
+    @pytest.mark.parametrize("fault, raised", [
+        (RuntimeError("interrupted"), RuntimeError),  # a pass stopped part way
+        (2**32, ValueError),  # an o too large for the o column
+    ])
+    def test_failed_growth_leaves_the_table_as_it_was(self, monkeypatch, fault, raised):
+        monkeypatch.setattr(orders, "_tables", {})
+        seq = SequenceSpec(7)
+        order_records(seq, 2000)
+        before = orders._tables[7]
+        columns = [list(c) for c in before[1:]]
+        calls = 0
+        lift = orders._lift
+
+        def faulty(a, k, p):
+            nonlocal calls
+            calls += 1
+            if calls < 100:
+                return lift(a, k, p)
+            if isinstance(fault, Exception):
+                raise fault
+            return fault
+
+        monkeypatch.setattr(orders, "_lift", faulty)
+        with pytest.raises(raised):
+            order_records(seq, 10**4)
+        assert calls == 100
+        assert orders._tables[7] is before
+        assert [list(c) for c in before[1:]] == columns
+        ps, ells, os = columns
+        assert len(ps) == len(ells) == len(os)
+        assert ps == sorted(set(ps))
+        monkeypatch.setattr(orders, "_lift", lift)
+        grown = order_records(seq, 10**4)
+        with mock.patch.dict(orders._tables, clear=True):
+            assert order_records(seq, 10**4) == grown
+
+    def test_table_keeps_under_16_bytes_per_record(self, monkeypatch):
+        # Deterministic: tracemalloc counts the bytes the table retains,
+        # with the shared sieve built beforehand.  Three array("I")
+        # columns take 12 bytes a record; an OrderRecord object per
+        # record would take about 96.  Tracing slows the build some
+        # 35-fold, hence y = 2 * 10^4, not the 2 * 10^5 the benchmark's
+        # table workload reaches.
+        y = 2 * 10**4
+        arith.primes_upto(y)
+        monkeypatch.setattr(orders, "_tables", {})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            order_records(SequenceSpec(5), y)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        records = len(orders._tables[5][1])
+        assert records == len(sieve_primes(y)) - 1
+        assert retained < 16 * records
 
     def test_batch_build_skips_prime_test_and_factoring(self, monkeypatch):
         calls = []

@@ -13,10 +13,9 @@ from .arith import (
     valuation,
 )
 from .orders import (
-    OrderRecord,
     SequenceSpec,
+    order_columns,
     order_record,
-    order_records,
     term_valuation_direct,
     term_valuation_lte,
 )

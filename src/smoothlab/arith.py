@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 # Trial division handles primes up to this bound; beyond it Pollard rho

@@ -20,7 +20,7 @@ from .abc_triples import abc_quality
 from .arith import Factorization, FactorizationError
 from .binomial import binomial_membership
 from .bounds import default_y, density_bound, stewart_bound
-from .orders import OrderRecord, SequenceSpec
+from .orders import SequenceSpec
 from .smooth import (
     CutoffSpec,
     counting_report,
@@ -74,8 +74,8 @@ def _csv_cell(v) -> str:
         return ""
     if isinstance(v, Factorization):
         return ";".join(f"{p}^{e}" for p, e in v)
-    if isinstance(v, OrderRecord):
-        return f"{v.p}:{v.ell}:{v.o}"
+    if isinstance(v, tuple):  # a (p, ell, o) order record
+        return ":".join(map(str, v))
     if isinstance(v, list):
         return ";".join(_csv_cell(x) for x in v)
     return str(v)
@@ -86,8 +86,6 @@ def _json_default(v):
         return str(v)
     if isinstance(v, Factorization):
         return [[p, e] for p, e in v]
-    if isinstance(v, OrderRecord):
-        return [v.p, v.ell, v.o]
     raise TypeError(f"not JSON serializable: {v!r}")
 
 

@@ -23,20 +23,11 @@ class SequenceSpec:
             raise ValueError("base must be an integer >= 2")
 
 
-@dataclass(frozen=True, slots=True)
-class OrderRecord:
-    """(p, ell, o): order of the base mod p and v_p at the first
-    divisible index."""
-
-    p: int
-    ell: int
-    o: int
-
-
-# base -> (limit, ps, ells, os): the record (p, ells[i], os[i]) of every
-# prime p = ps[i] <= limit not dividing the base, as ascending parallel
-# array("I") columns.  Only _table writes here, and only by swapping in a
-# whole new tuple for a higher limit; no column is changed in place.
+# base -> (limit, ps, ells, os): the triple (p, ell, o) = (ps[i], ells[i],
+# os[i]) of every prime p <= limit not dividing the base, ell its order
+# and o = v_p(base^ell - 1), as ascending parallel array("I") columns.
+# Only _table writes here, and only by swapping in a whole new tuple for a
+# higher limit; no column is changed in place.
 _tables: dict[int, tuple[int, array, array, array]] = {}
 
 _EMPTY_TABLE = (1, array("I"), array("I"), array("I"))
@@ -97,17 +88,19 @@ def _table(a: int, y: int) -> tuple[array, array, array]:
     return ps, ells, os
 
 
-def _columns(seq: SequenceSpec, y: int) -> tuple[array, array, array]:
+def order_columns(seq: SequenceSpec, y: int) -> tuple[array, array, array]:
     """The columns (ps, ells, os) of the base's table cut at the primes
-    <= y, grown first if they stop below: the rows of
-    order_records(seq, y) without an OrderRecord per row."""
+    p <= y not dividing the base, ascending: zip them for the (p, ell, o)
+    triples.  The table first grows past y if it stops below, by the
+    same rule as order_record."""
     ps, ells, os = _table(seq.base, y)
     k = bisect_right(ps, y)
     return ps[:k], ells[:k], os[:k]
 
 
-def order_record(seq: SequenceSpec, p: int) -> OrderRecord:
-    """The (p, ell, o) triple of one prime, from the base's table.
+def order_record(seq: SequenceSpec, p: int) -> tuple[int, int]:
+    """(ell, o) of one prime p: the order of the base mod p and
+    v_p(base^ell - 1), from the base's table.
 
     The table first grows past p if it stops below, so one lookup may
     cost a table build up to max(p, twice the old limit).  Raises
@@ -117,13 +110,7 @@ def order_record(seq: SequenceSpec, p: int) -> OrderRecord:
     i = bisect_left(ps, p)
     if i == len(ps) or ps[i] != p:
         raise ValueError(f"{p} is not a prime coprime to the base {seq.base}")
-    return OrderRecord(p, ells[i], os[i])
-
-
-def order_records(seq: SequenceSpec, y: int) -> list[OrderRecord]:
-    """order_record for every prime p <= y not dividing the base,
-    ascending: rows of the base's table."""
-    return list(map(OrderRecord, *_columns(seq, y)))
+    return ells[i], os[i]
 
 
 def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:
@@ -149,10 +136,10 @@ def term_valuation_lte(seq: SequenceSpec, n: int, p: int) -> int:
     a = seq.base
     if a % p == 0:
         return 0
-    rec = order_record(seq, p)
-    if n % rec.ell != 0:
+    ell, o = order_record(seq, p)
+    if n % ell != 0:
         return 0
-    v = rec.o + valuation(n, p)
+    v = o + valuation(n, p)
     if p == 2 and n % 2 == 0:
         v += valuation(a + 1, 2) - 1
     return v

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Factorization, divisors, primes_upto
-from .orders import OrderRecord, SequenceSpec, _columns, term_valuation_direct
+from .orders import SequenceSpec, order_columns, term_valuation_direct
 
 # Relative width of the band around the threshold inside which the
 # membership decision is re-made in exact integer arithmetic.
@@ -173,7 +173,7 @@ class CountingReport:
     normalized: float  # log_sum / sqrt(K * n)
     bound: int  # sum over d | n of min(floor(Kn/d) + 1, floor(d * log2 a))
     bound_holds: bool
-    records: list[OrderRecord]  # the primes counted, ascending
+    records: list[tuple[int, int, int]]  # (p, ell, o) of the primes counted, ascending
 
 
 def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
@@ -188,8 +188,8 @@ def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
     """
     K = Fraction(K)
     y = CutoffSpec.linear(K).value_at(n)
-    records = [OrderRecord(p, ell, o) for p, ell, o in zip(*_columns(seq, y)) if n % ell == 0]
-    log_sum = math.fsum(math.log(r.p) for r in records)
+    records = [(p, ell, o) for p, ell, o in zip(*order_columns(seq, y)) if n % ell == 0]
+    log_sum = math.fsum(math.log(p) for p, _, _ in records)
     a = seq.base
     bound = 0
     for d in divisors(n):

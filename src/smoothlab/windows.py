@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 from .arith import valuation
 from .bounds import density_bound
-from .orders import (
-    OrderRecord,
-    SequenceSpec,
-    _columns,
-    order_record,
-    order_records,
-    term_valuation_direct,
-)
+from .orders import SequenceSpec, order_columns, order_record, term_valuation_direct
 from .smooth import CutoffSpec, _decide, _threshold_base, enumerate_members, smooth_part_of_term
 
 
@@ -34,18 +27,18 @@ def _count_multiples_in_window(m: int, N: int) -> int:
     return N // m - (N // 2) // m
 
 
-def _lte_window_sum(seq: SequenceSpec, rec: OrderRecord, N: int) -> int:
-    """Sum of v_p(a^n - 1) over the window from the order record alone:
-    o_p + v_p(n) for each n that ell_p divides, counted as o_p *
-    #(multiples of ell_p) + sum over k >= 1 of #(multiples of ell_p *
-    p^k).  For p = 2 (odd base, ell_2 = 1) each even n adds v_2(a + 1) - 1
-    on top."""
-    total = rec.o * _count_multiples_in_window(rec.ell, N)
-    m = rec.ell * rec.p
+def _lte_window_sum(seq: SequenceSpec, p: int, ell: int, o: int, N: int) -> int:
+    """Sum of v_p(a^n - 1) over the window from p's order data (ell, o)
+    alone: o + v_p(n) for each n that ell divides, counted as o *
+    #(multiples of ell) + sum over k >= 1 of #(multiples of ell * p^k).
+    For p = 2 (odd base, ell = 1) each even n adds v_2(a + 1) - 1 on
+    top."""
+    total = o * _count_multiples_in_window(ell, N)
+    m = ell * p
     while m <= N:
         total += _count_multiples_in_window(m, N)
-        m *= rec.p
-    if rec.p == 2:
+        m *= p
+    if p == 2:
         total += (valuation(seq.base + 1, 2) - 1) * _count_multiples_in_window(2, N)
     return total
 
@@ -78,7 +71,8 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
     log_q = math.fsum(t.log_value() for t in terms)
 
     log_q_by_prime = math.fsum(
-        _lte_window_sum(seq, rec, N) * math.log(rec.p) for rec in order_records(seq, y)
+        _lte_window_sum(seq, p, ell, o, N) * math.log(p)
+        for p, ell, o in zip(*order_columns(seq, y))
     )
 
     member_count = None
@@ -101,11 +95,11 @@ def prime_window_valuation_sum(seq: SequenceSpec, p: int, N: int) -> tuple[int, 
     """Sum of v_p(a^n - 1) over the window, both directly and via the
     order data (_lte_window_sum).  The two must agree exactly.
     """
-    rec = order_record(seq, p)
+    ell, o = order_record(seq, p)
     if N < 1:
         raise ValueError("N must be >= 1")
     direct = sum(term_valuation_direct(seq, n, p) for n in _window(N))
-    return direct, _lte_window_sum(seq, rec, N)
+    return direct, _lte_window_sum(seq, p, ell, o, N)
 
 
 def _dyadic_index(ell: int) -> int:
@@ -137,7 +131,7 @@ def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
     q1_sum = 0.0
     q1 = q2 = 0
     max_ell_q2 = 0
-    for p, ell, o in zip(*_columns(seq, cutoff.value_at(N))):
+    for p, ell, o in zip(*order_columns(seq, cutoff.value_at(N))):
         r = o * math.log(p) / ell
         if r < threshold:
             q1 += 1

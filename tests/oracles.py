@@ -7,7 +7,7 @@ tables or the cyclotomic split.
 
 import math
 
-from smoothlab.arith import factorize, primes_upto
+from smoothlab.arith import factorize, primes_upto, sieve_primes, valuation
 from smoothlab.smooth import CutoffSpec
 
 
@@ -19,6 +19,17 @@ def order_by_enumeration(a, p):
         x = x * a % p
         k += 1
     return k
+
+
+def records_by_enumeration(a, y):
+    """(p, ell, o) for every prime p <= y not dividing a, ascending, by
+    stepping the order and valuing a^ell - 1 whole."""
+    records = []
+    for p in sieve_primes(y):
+        if a % p:
+            ell = order_by_enumeration(a, p)
+            records.append((p, ell, valuation(a**ell - 1, p)))
+    return records
 
 
 def term_prime_log_sum(seq, K, n):

@@ -9,12 +9,12 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from smoothlab.arith import SIEVE_MAX, sieve_primes, valuation
+from smoothlab.arith import SIEVE_MAX, valuation
 from smoothlab.cli import main
 from smoothlab.orders import SequenceSpec
 from smoothlab.smooth import POWER_CUTOFF_MAX_BITS
 
-from oracles import order_by_enumeration, term_prime_log_sum
+from oracles import records_by_enumeration, term_prime_log_sum
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "output-schema.json").read_text()
@@ -137,30 +137,19 @@ class TestSnkCommand:
         assert doc["results"][0]["log_sum"] == expected
 
 
-def _oracle_records(a, y):
-    """(p, ell, o) for every prime p <= y not dividing a, by stepping the
-    order and valuing a^ell - 1 whole."""
-    records = []
-    for p in sieve_primes(y):
-        if a % p:
-            ell = order_by_enumeration(a, p)
-            records.append((p, ell, valuation(a**ell - 1, p)))
-    return records
-
-
 # o_3 = v_3(a - 1) = 300 for a = 1 + 3^300, and o_2 = 300 for 1 + 2^300
 @pytest.mark.parametrize("a, p", [(1 + 3**300, 3), (1 + 2**300, 2)], ids=["1+3^300", "1+2^300"])
 class TestLargeInitialValuation:
     def test_snk_records(self, runner, a, p):
         doc = invoke_json(runner, ["snk", "--base", str(a), "--n", "12", "--K", "2"])
-        expected = [[q, ell, o] for q, ell, o in _oracle_records(a, 24) if 12 % ell == 0]
+        expected = [[q, ell, o] for q, ell, o in records_by_enumeration(a, 24) if 12 % ell == 0]
         assert [p, 1, 300] in expected
         assert doc["results"][0]["records"] == expected
 
     def test_dyadic_bins(self, runner, a, p):
         doc = invoke_json(runner, ["dyadic", "--base", str(a), "--N", "40", "--K", "1"])
         row = doc["results"][0]
-        ratios = [o * math.log(q) / ell for q, ell, o in _oracle_records(a, 40)]
+        ratios = [o * math.log(q) / ell for q, ell, o in records_by_enumeration(a, 40)]
         small = [r for r in ratios if r < 1 / row["y"]]
         assert (row["Q1_size"], row["Q2_size"]) == (len(small), len(ratios) - len(small))
         assert row["S1"] == 40 * sum(small)
@@ -168,7 +157,7 @@ class TestLargeInitialValuation:
     def test_window_by_prime(self, runner, a, p):
         doc = invoke_json(runner, ["window", "--base", str(a), "--N", "12", "--K", "1"])
         totals = [(q, sum(valuation(a**n - 1, q) for n in range(7, 13)))
-                  for q, _, _ in _oracle_records(a, 12)]
+                  for q, _, _ in records_by_enumeration(a, 12)]
         assert doc["results"][0]["log_Q_by_prime"] == math.fsum(t * math.log(q) for q, t in totals)
 
 

@@ -11,8 +11,8 @@ from smoothlab import arith, orders
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.orders import (
     SequenceSpec,
+    order_columns,
     order_record,
-    order_records,
     term_valuation_direct,
     term_valuation_lte,
 )
@@ -36,9 +36,9 @@ class TestSequenceSpec:
 @pytest.mark.usefixtures("empty_memo")
 class TestMultiplicativeOrder:
     def test_examples(self):
-        assert order_record(SequenceSpec(5), 3).ell == 2
-        assert order_record(SequenceSpec(2), 7).ell == 3
-        assert order_record(SequenceSpec(4), 3).ell == 1
+        assert order_record(SequenceSpec(5), 3)[0] == 2
+        assert order_record(SequenceSpec(2), 7)[0] == 3
+        assert order_record(SequenceSpec(4), 3)[0] == 1
 
     def test_rejects_p_dividing_base(self):
         with pytest.raises(ValueError):
@@ -50,7 +50,8 @@ class TestMultiplicativeOrder:
             for p in sieve_primes(100):
                 if a % p == 0:
                     continue
-                assert order_record(seq, p).ell == order_by_enumeration(a, p)
+                ell, _ = order_record(seq, p)
+                assert ell == order_by_enumeration(a, p)
 
     def test_minimality_and_divides_p_minus_1(self):
         for a in (2, 3, 7):
@@ -58,7 +59,7 @@ class TestMultiplicativeOrder:
             for p in sieve_primes(60):
                 if a % p == 0:
                     continue
-                ell = order_record(seq, p).ell
+                ell, _ = order_record(seq, p)
                 assert (p - 1) % ell == 0
                 for d in range(1, ell):
                     if ell % d == 0:
@@ -68,9 +69,9 @@ class TestMultiplicativeOrder:
 @pytest.mark.usefixtures("empty_memo")
 class TestInitialValuation:
     def test_examples(self):
-        assert order_record(SequenceSpec(2), 3).o == 1
-        assert order_record(SequenceSpec(3), 11).o == 2
-        assert order_record(SequenceSpec(2), 7).o == 1
+        assert order_record(SequenceSpec(2), 3)[1] == 1
+        assert order_record(SequenceSpec(3), 11)[1] == 2
+        assert order_record(SequenceSpec(2), 7)[1] == 1
 
     def test_against_bigint(self):
         for a in (2, 3, 5, 7):
@@ -79,7 +80,8 @@ class TestInitialValuation:
                 if a % p == 0:
                     continue
                 ell = order_by_enumeration(a, p)
-                assert order_record(seq, p).o == valuation(a**ell - 1, p)
+                _, o = order_record(seq, p)
+                assert o == valuation(a**ell - 1, p)
 
 
 class TestOrderRecord:
@@ -89,12 +91,12 @@ class TestOrderRecord:
             for p in sieve_primes(100):
                 if a % p == 0:
                     continue
-                rec = order_record(seq, p)
-                assert pow(a, rec.ell, p) == 1
-                assert (p - 1) % rec.ell == 0
-                m = a**rec.ell - 1
-                assert m % p**rec.o == 0
-                assert m % p ** (rec.o + 1) != 0
+                ell, o = order_record(seq, p)
+                assert pow(a, ell, p) == 1
+                assert (p - 1) % ell == 0
+                m = a**ell - 1
+                assert m % p**o == 0
+                assert m % p ** (o + 1) != 0
 
     def test_size_bound(self):
         # p^o divides a^ell - 1 < a^ell, so o*ln p < ell*ln a
@@ -103,19 +105,19 @@ class TestOrderRecord:
             for p in sieve_primes(200):
                 if a % p == 0:
                     continue
-                rec = order_record(seq, p)
-                assert rec.o * math.log(p) <= rec.ell * math.log(a)
+                ell, o = order_record(seq, p)
+                assert o * math.log(p) <= ell * math.log(a)
 
-    def test_order_records_match_public_routes(self):
+    def test_order_columns_match_order_record(self):
         # a table grown one prime at a time through order_record against
-        # a one-shot order_records from another empty table
+        # a one-shot order_columns from another empty table
         for a in (2, 3, 6, 10, 12):
             seq = SequenceSpec(a)
             with mock.patch.dict(orders._tables, clear=True):
-                got = [order_record(seq, p) for p in sieve_primes(300) if a % p != 0]
+                got = [(p, *order_record(seq, p)) for p in sieve_primes(300) if a % p != 0]
             with mock.patch.dict(orders._tables, clear=True):
-                assert order_records(seq, 300) == got
-        assert order_records(SequenceSpec(2), 1) == []
+                assert list(zip(*order_columns(seq, 300))) == got
+        assert list(zip(*order_columns(SequenceSpec(2), 1))) == []
 
     @pytest.mark.parametrize("p", [-3, 0, 1, 4, 91, 3, arith.SIEVE_MAX + 7])
     def test_rejects_what_has_no_record(self, p):
@@ -155,11 +157,11 @@ class TestOrderRecordsBatch:
                 steps = sorted(rng.choice([rng.randint(0, y), rng.choice(primes or [0])])
                                for _ in range(rng.randint(1, 8)))
                 for step in steps:
-                    order_records(seq, step)
-            grown = order_records(seq, y)
+                    order_columns(seq, step)
+            grown = list(zip(*order_columns(seq, y)))
         with mock.patch.dict(orders._tables, clear=True):
-            assert order_records(seq, y) == grown
-        assert [(r.p, r.ell, r.o) for r in grown] == expected
+            assert list(zip(*order_columns(seq, y))) == grown
+        assert grown == expected
 
     def test_ascending_lookups_grow_the_table_geometrically(self, monkeypatch):
         builds = []
@@ -171,9 +173,9 @@ class TestOrderRecordsBatch:
         monkeypatch.setattr(orders, "smallest_prime_factors", counted)
         monkeypatch.setattr(orders, "_tables", {})
         seq = SequenceSpec(3)
-        got = [order_record(seq, p) for p in sieve_primes(4 * 10**4) if p != 3]
+        got = [(p, *order_record(seq, p)) for p in sieve_primes(4 * 10**4) if p != 3]
         assert len(builds) <= 20
-        assert got == order_records(seq, 4 * 10**4)
+        assert got == list(zip(*order_columns(seq, 4 * 10**4)))
 
     @pytest.mark.parametrize("fault, raised", [
         (RuntimeError("interrupted"), RuntimeError),  # a pass stopped part way
@@ -182,7 +184,7 @@ class TestOrderRecordsBatch:
     def test_failed_growth_leaves_the_table_as_it_was(self, monkeypatch, fault, raised):
         monkeypatch.setattr(orders, "_tables", {})
         seq = SequenceSpec(7)
-        order_records(seq, 2000)
+        order_columns(seq, 2000)
         before = orders._tables[7]
         columns = [list(c) for c in before[1:]]
         calls = 0
@@ -199,7 +201,7 @@ class TestOrderRecordsBatch:
 
         monkeypatch.setattr(orders, "_lift", faulty)
         with pytest.raises(raised):
-            order_records(seq, 10**4)
+            order_columns(seq, 10**4)
         assert calls == 100
         assert orders._tables[7] is before
         assert [list(c) for c in before[1:]] == columns
@@ -207,14 +209,14 @@ class TestOrderRecordsBatch:
         assert len(ps) == len(ells) == len(os)
         assert ps == sorted(set(ps))
         monkeypatch.setattr(orders, "_lift", lift)
-        grown = order_records(seq, 10**4)
+        grown = list(zip(*order_columns(seq, 10**4)))
         with mock.patch.dict(orders._tables, clear=True):
-            assert order_records(seq, 10**4) == grown
+            assert list(zip(*order_columns(seq, 10**4))) == grown
 
     def test_table_keeps_under_16_bytes_per_record(self, monkeypatch):
         # Deterministic: tracemalloc counts the bytes the table retains,
         # with the shared sieve built beforehand.  Three array("I")
-        # columns take 12 bytes a record; an OrderRecord object per
+        # columns take 12 bytes a record; a frozen dataclass object per
         # record would take about 96.  Tracing slows the build some
         # 35-fold, hence y = 2 * 10^4, not the 2 * 10^5 the benchmark's
         # table workload reaches.
@@ -224,7 +226,7 @@ class TestOrderRecordsBatch:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            order_records(SequenceSpec(5), y)
+            order_columns(SequenceSpec(5), y)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -246,9 +248,10 @@ class TestOrderRecordsBatch:
             monkeypatch.setattr(arith, name, counted(name, getattr(arith, name)))
         monkeypatch.setattr(orders, "_tables", {})
         seq = SequenceSpec(7)
-        assert len(order_records(seq, 5000)) == len(sieve_primes(5000)) - 1
+        assert len(order_columns(seq, 5000)[0]) == len(sieve_primes(5000)) - 1
         # a lookup past the table grows it the same way
-        assert order_record(seq, 5003).p == 5003
+        order_record(seq, 5003)
+        assert order_columns(seq, 5003)[0][-1] == 5003
         assert calls == []
 
 
@@ -279,6 +282,6 @@ class TestTermValuations:
             for p in sieve_primes(60):
                 if a % p == 0:
                     continue
-                ell = order_record(seq, p).ell
+                ell, _ = order_record(seq, p)
                 for n in range(1, 40):
                     assert (pow(a, n, p) == 1) == (n % ell == 0)

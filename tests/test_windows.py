@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.bounds import default_y, density_bound, stewart_bound
-from smoothlab.orders import SequenceSpec, order_records, term_valuation_direct
+from smoothlab.orders import SequenceSpec, order_columns, term_valuation_direct
 from smoothlab.smooth import CutoffSpec, membership
 from smoothlab.windows import (
     density_check,
@@ -115,7 +115,7 @@ class TestEvenPrimeWindowSum:
 
 def dyadic_ratios(a, N):
     """(p, o_p * ln p / ell_p) for the primes p <= N not dividing a."""
-    return [(r.p, r.o * math.log(r.p) / r.ell) for r in order_records(SequenceSpec(a), N)]
+    return [(p, o * math.log(p) / ell) for p, ell, o in zip(*order_columns(SequenceSpec(a), N))]
 
 
 class TestDyadicPartition:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .arith import Factorization, FactorizationError, divisors, factorize, radical
 from .orders import SequenceSpec
-from .smooth import CutoffSpec
+from .smooth import POWER_CUTOFF_MAX_BITS, CutoffSpec
 
 
 def factor_term(seq: SequenceSpec, n: int) -> Factorization:
@@ -24,10 +24,16 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
     for ascending d.  When a piece exhausts the rho budget, the
     FactorizationError carries every prime found so far as its partial
     result and that piece's unfactored composite as its cofactor.
+    Raises ValueError, before any power of a is built, for a term of
+    more than POWER_CUTOFF_MAX_BITS bits counted as n * bits(a).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a = seq.base
+    bits = n * a.bit_length()
+    if bits > POWER_CUTOFF_MAX_BITS:
+        raise ValueError(f"the term {a}^{n} - 1 has up to {bits} bits,"
+                         f" above POWER_CUTOFF_MAX_BITS = {POWER_CUTOFF_MAX_BITS}")
     pieces: dict[int, int] = {}  # d -> Phi_d(a)
     found: Counter[int] = Counter()  # prime -> exponent summed over pieces
     for d in divisors(n):
@@ -65,7 +71,8 @@ def abc_quality(seq: SequenceSpec, n: int, K, c) -> AbcTripleReport:
     """Quality of (a^n - 1) + 1 = a^n and the s * t decomposition at
     cutoff floor(Kn).
 
-    Needs 1 < c < a.  For n = 1 with a = 2 the triple degenerates to
+    Needs 1 < c < a, and a term factor_term accepts, which it checks
+    before a^n is built.  For n = 1 with a = 2 the triple degenerates to
     (1, 1, 2) and the radical of A is 1.
     """
     c = Fraction(c)
@@ -73,9 +80,9 @@ def abc_quality(seq: SequenceSpec, n: int, K, c) -> AbcTripleReport:
     if not 1 < c < a:
         raise ValueError("c must satisfy 1 < c < base")
     cutoff = CutoffSpec.linear(K)
+    factors = factor_term(seq, n)
     A = a**n - 1
     C = a**n
-    factors = factor_term(seq, n)
     rad_abc = (1 if A == 1 else factors.radical()) * radical(a)
     quality = n * math.log(a) / math.log(rad_abc)
     s_factors = factors.restrict(cutoff.value_at(n))

@@ -5,6 +5,7 @@ a^n - 1 itself.
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -114,14 +115,19 @@ def order_record(seq: SequenceSpec, p: int) -> tuple[int, int]:
 
 
 def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:
-    """v_p(base^n - 1) by modular exponentiation against p, p^2, ...
+    """v_p(base^n - 1) for a prime p, by modular exponentiation against
+    p, p^2, ...
 
-    0 when p divides the base or base^n != 1 mod p.
+    p divides base^n - 1 exactly when base^gcd(n, p - 1) = 1 mod p: for p
+    not dividing the base, base^k = 1 mod p iff ell_p | k, and ell_p
+    divides p - 1, so ell_p | n iff ell_p | gcd(n, p - 1).  When p
+    divides the base the residue is 0, and for p = 2 it is base mod 2,
+    so the one test also returns 0 there.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a = seq.base
-    if a % p == 0 or pow(a, n, p) != 1:
+    if pow(a, math.gcd(n, p - 1), p) != 1:
         return 0
     return _lift(a, n, p)
 

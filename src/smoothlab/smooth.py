@@ -9,16 +9,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Factorization, divisors, primes_upto
+from .arith import SIEVE_MAX, Factorization, divisors, primes_upto
 from .orders import SequenceSpec, order_columns, term_valuation_direct
 
 # Relative width of the band around the threshold inside which the
 # membership decision is re-made in exact integer arithmetic.
 TIE_GUARD = 1e-9
 
-# Most bits, counted as p * bits(n), of the n**p that the power cutoff
-# floor(n ** (p/q)) builds before its q-th root.  At the cap the root
-# takes up to about 1.5 s (2-core box, Python 3.11).
+# Most bits of an integer the package builds from an exponent: of the
+# n**p that the power cutoff floor(n ** (p/q)) builds before its q-th
+# root, counted as p * bits(n), and of the term a^n - 1 that abc
+# factors, counted as n * bits(a).  At the cap the root takes up to
+# about 1.5 s (2-core box, Python 3.11).
 POWER_CUTOFF_MAX_BITS = 2**20
 
 
@@ -98,20 +100,33 @@ class MembershipVerdict:
     exact_tiebreak_used: bool
 
 
+def _scan_limit(a: int, n: int, y: int) -> int:
+    """min(y, a^n - 1), past which no prime divides s_y(a^n - 1), with
+    a^n built only when n * (bits(a) - 1) < bits(y), so below 2^54 for
+    y <= SIEVE_MAX.  A y above SIEVE_MAX is returned as it is, so the
+    sieve still rejects it however small the term."""
+    if y <= SIEVE_MAX and n * (a.bit_length() - 1) < y.bit_length():
+        return min(y, a**n - 1)
+    return y
+
+
 def smooth_part_of_term(seq: SequenceSpec, n: int, y: int) -> Factorization:
     """The factors of s_y(a^n - 1), assembled prime by prime.
 
-    A prime p <= y (with p not dividing the base) contributes exactly
-    when a^n = 1 mod p; its exponent comes from term_valuation_direct.
+    A prime p <= min(y, a^n - 1) contributes exactly when
+    a^gcd(n, p - 1) = 1 mod p: for p not dividing the base, p divides
+    a^n - 1 iff its order ell_p divides n, and ell_p divides p - 1.  The
+    residue is 0 when p divides the base and a mod 2 for p = 2, so no
+    prime needs a second test.  The exponent of each prime found comes
+    from term_valuation_direct's lift against p^2, p^3, ...
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a = seq.base
     entries = []
-    for p in primes_upto(y):
-        if a % p == 0 or pow(a, n, p) != 1:
-            continue
-        entries.append((p, term_valuation_direct(seq, n, p)))
+    for p in primes_upto(_scan_limit(a, n, y)):
+        if pow(a, math.gcd(n, p - 1), p) == 1:
+            entries.append((p, term_valuation_direct(seq, n, p)))
     return Factorization(tuple(entries))
 
 
@@ -159,7 +174,7 @@ def enumerate_members(seq: SequenceSpec, cutoff: CutoffSpec, c, N: int) -> list[
     if N < 1:
         return []
     c = _threshold_base(c)
-    primes_upto(cutoff.value_at(N))  # presize the shared sieve once
+    primes_upto(_scan_limit(seq.base, N, cutoff.value_at(N)))  # presize the shared sieve once
     return [n for n in range(1, N + 1) if membership(seq, n, cutoff, c).member]
 
 

@@ -1,0 +1,67 @@
+"""Rewrite cli_outputs.json, the stdout of each pinned CLI call.
+
+    PYTHONPATH=src python3 tests/data/record_cli_outputs.py
+
+tests/test_cli.py::test_every_subcommand_output_is_pinned runs every
+command listed here and compares its stdout with the recorded one.
+Re-record only when a change is meant to alter the output; to pin a new
+call, append it to COMMANDS and record at a commit whose output it
+should keep.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from smoothlab.cli import main
+
+OUTPUTS = Path(__file__).resolve().parent / "cli_outputs.json"
+
+# bases with a - 1 = 3^300 and a - 1 = 2^300, so o_3 = 300 and o_2 = 300
+BIG3 = 1 + 3**300
+BIG2 = 1 + 2**300
+
+_BOTH_FORMATS = [
+    "membership --base 3 --n 12 --theta 3/2 --c 6/5",
+    "enumerate --base 2 --K 1 --c 6/5 --N 30",
+    "svalue --base 2 --n 12 --K 1 --materialize",
+    "snk --base 3 --n 12 --K 3/2",
+    "window --base 3 --N 40 --K 1 --c 6/5",
+    "dyadic --base 2 --N 100 --K 1",
+    "bounds --N 64 --p 101 --check-base 2 --K 1 --check-c 6/5",
+    "abc --base 2 --n 6 --K 1 --c 6/5",
+    "binomial --N 5",
+]
+
+COMMANDS = [f"{cmd} --format {fmt}" for cmd in _BOTH_FORMATS for fmt in ("json", "csv")] + [
+    f"snk --base {BIG3} --n 12 --K 2 --format csv",
+    f"dyadic --base {BIG3} --N 40 --K 1 --format json",
+    f"window --base {BIG3} --N 12 --K 1 --c 101/100 --format json",
+    f"snk --base {BIG2} --n 12 --K 2 --format csv",
+    f"dyadic --base {BIG2} --N 40 --K 1 --format json",
+    f"window --base {BIG2} --N 12 --K 1 --c 101/100 --format json",
+    # single terms at the scale of one-n-at-a-time queries
+    "svalue --base 6 --n 720720 --K 1",
+    "membership --base 10 --n 999983 --K 1 --c 1.01",
+    "svalue --base 3 --n 524288 --K 1 --format csv",
+    "membership --base 7 --n 100000 --K 3/2 --c 101/100",
+    f"svalue --base {BIG3} --n 5040 --K 1",
+]
+
+
+def record() -> None:
+    runner = CliRunner()
+    entries = []
+    for command in COMMANDS:
+        result = runner.invoke(main, command.split())
+        if result.exit_code != 0:
+            raise SystemExit(f"{command!r} exited {result.exit_code}: {result.output}")
+        entries.append({"command": command, "stdout": result.stdout})
+    OUTPUTS.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    record()

@@ -7,7 +7,7 @@ tables or the cyclotomic split.
 
 import math
 
-from smoothlab.arith import factorize, primes_upto, sieve_primes, valuation
+from smoothlab.arith import Factorization, factorize, primes_upto, sieve_primes, valuation
 from smoothlab.smooth import CutoffSpec
 
 
@@ -40,6 +40,19 @@ def term_prime_log_sum(seq, K, n):
     return math.fsum(
         math.log(p) for p in primes_upto(y) if a % p != 0 and pow(a, n, p) == 1
     )
+
+
+def smooth_part_by_pow(a, n, y):
+    """Factorization of s_y(a^n - 1): every prime p <= y not dividing a
+    with a^n = 1 mod p, its exponent the last k with a^n = 1 mod p^k."""
+    entries = []
+    for p in primes_upto(y):
+        if a % p and pow(a, n, p) == 1:
+            k = 2
+            while pow(a, n, p**k) == 1:
+                k += 1
+            entries.append((p, k - 1))
+    return Factorization(tuple(entries))
 
 
 def term_factorization(seq, n):

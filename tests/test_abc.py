@@ -107,6 +107,11 @@ class TestFactorTerm:
         assert cofactor == 3701101 * 110133112994711
         assert (3**65 - 1) % (partial.value() * cofactor) == 0
 
+    def test_oversized_term_raises_before_building_it(self):
+        # 2 * (2^19 + 1) bits counted for 2^(2^19 + 1) - 1, just past the cap
+        with pytest.raises(ValueError, match="above POWER_CUTOFF_MAX_BITS"):
+            factor_term(SequenceSpec(2), 2**19 + 1)
+
 
 class TestAbcQuality:
     def test_quality_example(self):

@@ -112,6 +112,19 @@ class TestSvalueCommand:
             "36,36,3^3;5^1;7^1;13^1;19^1,12.3605732641\n"
         )
 
+    def test_scan_stops_at_the_term(self, runner):
+        # no prime above 2^10 - 1 = 1023 can divide it, so the primes up
+        # to 10^8 are never sieved (that took 5-7 s and 375 MB)
+        start = time.perf_counter()
+        result = runner.invoke(main, ["svalue", "--base", "2", "--n", "10", "--y", "100000000",
+                                      "--format", "csv"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        assert result.output == (
+            "n,cutoff_y,factors,log_value\n"
+            "10,100000000,3^1;11^1;31^1,6.93049476595\n"
+        )
+
 
 class TestSnkCommand:
     def test_report(self, runner):
@@ -273,6 +286,19 @@ class TestAbcCommand:
         assert result.exit_code == 0
         assert result.output == (DATA / f"abc_base2_n600.{fmt}").read_text()
 
+    def test_oversized_term_is_a_domain_error(self, runner):
+        # abc built 2^(10^30) - 1 first, which at best ended in a
+        # MemoryError traceback with exit 1
+        start = time.perf_counter()
+        result = runner.invoke(main, ["abc", "--base", "2", "--n", str(10**30), "--K", "1",
+                                      "--c", "3/2"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: the term 2^{10**30} - 1 has up to {2 * 10**30} bits,"
+            f" above POWER_CUTOFF_MAX_BITS = {POWER_CUTOFF_MAX_BITS}\n"
+        )
+
 
 class TestFactoringFailureExit:
     def test_exit_code_3(self, runner, monkeypatch):
@@ -358,7 +384,8 @@ PINNED = json.loads((DATA / "cli_outputs.json").read_text())
 def test_every_subcommand_output_is_pinned(runner, entry):
     # A row is its report's fields, so a field added to a report would
     # otherwise become an output column unnoticed.  Re-record this file
-    # only when the output is meant to change.
+    # with tests/data/record_cli_outputs.py only when the output is meant
+    # to change.
     result = runner.invoke(main, entry["command"].split())
     assert result.exit_code == 0, result.output
     assert result.stdout == entry["stdout"]

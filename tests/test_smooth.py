@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothlab.arith import primes_upto, smooth_part_oracle
-from smoothlab.orders import SequenceSpec
+from smoothlab.orders import SequenceSpec, term_valuation_direct
 from smoothlab.smooth import (
     CutoffSpec,
     _integer_root,
@@ -17,7 +17,7 @@ from smoothlab.smooth import (
     smooth_part_of_term,
 )
 
-from oracles import records_by_enumeration, term_prime_log_sum
+from oracles import records_by_enumeration, smooth_part_by_pow, term_prime_log_sum
 
 
 class TestCutoffSpec:
@@ -99,6 +99,29 @@ class TestSmoothPartOfTerm:
             log_s = smooth_part_of_term(seq, 24, y).log_value()
             assert log_s >= prev
             prev = log_s
+
+    @given(
+        a=st.one_of(st.integers(min_value=2, max_value=40),
+                    st.sampled_from([1 + 3**300, 1 + 2**300])),
+        n=st.one_of(st.sampled_from([720, 5040, 55440, 166320]),
+                    st.integers(min_value=1, max_value=2 * 10**5)),
+        cut=st.one_of(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]),
+                      st.integers(min_value=0, max_value=3 * 10**5)),
+    )
+    @example(a=2, n=5, cut=31)  # the term 31 is itself the largest prime scanned
+    @example(a=6, n=166320, cut=Fraction(3))
+    @example(a=1 + 3**300, n=5040, cut=Fraction(1, 2))
+    @settings(max_examples=60)
+    def test_against_pow_oracle(self, a, n, cut):
+        # the oracle tests every prime p <= y by a^n mod p itself and
+        # lifts by its own powers of p; cut is a factor K of n or y itself
+        y = math.floor(cut * n) if isinstance(cut, Fraction) else cut
+        seq = SequenceSpec(a)
+        want = smooth_part_by_pow(a, n, y)
+        assert smooth_part_of_term(seq, n, y) == want
+        exponents = dict(want)
+        for p in primes_upto(y):
+            assert term_valuation_direct(seq, n, p) == exponents.get(p, 0)
 
 
 class TestMembership:

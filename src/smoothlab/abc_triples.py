@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Factorization, FactorizationError, divisors, factorize, radical
 from .orders import SequenceSpec
@@ -51,8 +51,7 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
     return Factorization(tuple(sorted(found.items())))
 
 
-@dataclass(frozen=True)
-class AbcTripleReport:
+class AbcTripleReport(NamedTuple):
     n: int
     A: int  # a^n - 1
     B: int  # 1

@@ -4,7 +4,7 @@ factors sit below 2n, so the 2n-smooth part is the whole coefficient."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import Factorization, primes_upto
 
@@ -27,8 +27,7 @@ def binomial_valuation(n: int, p: int) -> int:
     return carries
 
 
-@dataclass(frozen=True)
-class BinomialReport:
+class BinomialReport(NamedTuple):
     n: int
     cutoff_y: int  # 2n
     factors: Factorization

@@ -1,11 +1,10 @@
 """Closed-form threshold and bound functions, in double precision with an
-optional 50-digit mode for cross-checking."""
+optional 50-digit mode for cross-checking.  mpmath is imported by the
+first 50-digit call, so a process that never asks for one never loads it."""
 
 from __future__ import annotations
 
 import math
-
-import mpmath
 
 # Constants fixed by the analysis this toolkit makes observable.  The
 # Stewart constant is kept as text so the 50-digit mode reads it exactly.
@@ -21,6 +20,8 @@ def _eval(formula, precision: str):
     if precision == "double":
         return formula(math, float)
     if precision == "high":
+        import mpmath
+
         with mpmath.workdps(HIGH_PRECISION_DPS):
             return formula(mpmath, mpmath.mpf)
     raise ValueError("precision must be 'double' or 'high'")

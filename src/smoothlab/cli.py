@@ -2,9 +2,10 @@
 (default) or CSV, deterministically: identical inputs give byte-identical
 output.  --threads is accepted and ignored.
 
-A result row is its report's fields in declaration order (vars of the
-report), except for svalue, abc and binomial, whose rows are written out
-here because they print integers as strings or leave report fields out."""
+A result row is its report's fields in declaration order (every report
+is a NamedTuple, and the row is its _asdict()), except for svalue, abc
+and binomial, whose rows are written out here because they print
+integers as strings or leave report fields out."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 import click
 
 from .abc_triples import abc_quality
-from .arith import Factorization, FactorizationError
+from .arith import Factorization, FactorizationError, primes_upto
 from .binomial import binomial_membership
 from .bounds import default_y, density_bound, stewart_bound
 from .orders import SequenceSpec
@@ -172,7 +173,7 @@ def membership_cmd(base, n, K, theta, c):
     cutoff = _cutoff(K, theta)
     v = membership(SequenceSpec(base), n, cutoff, c)
     params = {"base": base, "n": n, "cutoff": cutoff.describe(), "c": c}
-    return params, [vars(v)]
+    return params, [v._asdict()]
 
 
 @main.command("enumerate")
@@ -218,7 +219,7 @@ def snk_cmd(base, n, K):
     """Log-sum over primes dividing base^n - 1 below the cutoff, the
     per-prime order records, and the counting bound."""
     rep = counting_report(SequenceSpec(base), K, n)
-    return {"base": base, "n": n, "K": K}, [vars(rep)]
+    return {"base": base, "n": n, "K": K}, [rep._asdict()]
 
 
 @main.command("window")
@@ -232,7 +233,7 @@ def window_cmd(base, N, K, c):
     """Windowed product of smooth parts over (N/2, N], both evaluation
     orders."""
     rep = window_product(SequenceSpec(base), K, N, c=c)
-    return {"base": base, "N": N, "K": K, "c": c}, [vars(rep)]
+    return {"base": base, "N": N, "K": K, "c": c}, [rep._asdict()]
 
 
 @main.command("dyadic")
@@ -247,7 +248,7 @@ def dyadic_cmd(base, N, K, y):
     if y is None:
         y = default_y(N)
     rep = dyadic_partition(SequenceSpec(base), K, N, y)
-    return {"base": base, "N": N, "K": K, "y": y}, [vars(rep)]
+    return {"base": base, "N": N, "K": K, "y": y}, [rep._asdict()]
 
 
 @main.command("bounds")
@@ -281,7 +282,7 @@ def bounds_cmd(N, p, precision, check_base, check_c, K, theta):
         cutoff = _cutoff(K, theta)
         params.update({"check_base": check_base, "check_c": check_c,
                        "cutoff": cutoff.describe()})
-        rows += map(vars, density_check(SequenceSpec(check_base), cutoff, check_c, N))
+        rows += (r._asdict() for r in density_check(SequenceSpec(check_base), cutoff, check_c, N))
     return params, rows
 
 
@@ -322,7 +323,9 @@ def binomial_cmd(n, N):
     """Smooth-part report for central binomial coefficients."""
     if (n is None) == (N is None):
         raise click.UsageError("exactly one of --n and --N is required")
-    ns = [n] if n is not None else list(range(1, N + 1))
+    if N is not None:
+        primes_upto(2 * N)  # presize the sieve; past SIEVE_MAX this exits 2 before any row
+    ns = [n] if n is not None else range(1, N + 1)
     params = {"n": n, "N": N}
     rows = []
     for i in ns:

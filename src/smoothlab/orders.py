@@ -50,7 +50,7 @@ def _lift(a: int, k: int, p: int) -> int:
     return o
 
 
-def _table(a: int, y: int) -> tuple[array, array, array]:
+def _table(a: int, y: int, geometric: bool = False) -> tuple[array, array, array]:
     """Base a's columns (ps, ells, os), first grown to cover y in one
     pass over the new sieved primes p: each prime q of p - 1, read off
     one smallest-prime-factor array, is stripped from e = p - 1 while
@@ -58,14 +58,15 @@ def _table(a: int, y: int) -> tuple[array, array, array]:
 
     The new range's columns are built apart and the table is swapped in
     whole as one (limit, ps, ells, os) tuple of concatenated arrays, so an
-    interrupted pass leaves the old table as it was.  Like the prime
-    sieve, a grown table reaches at least twice its old limit (up to
-    SIEVE_MAX), so ascending single lookups rebuild the array O(log y)
-    times; a first build stops at y itself.  Raises ValueError for an
-    o above _O_MAX."""
+    interrupted pass leaves the old table as it was.  A grown table stops
+    at y, unless geometric: then, like the prime sieve, it reaches at
+    least twice its old limit (up to SIEVE_MAX), so ascending single
+    lookups rebuild the arrays O(log y) times; a first build stops at y
+    either way.  Raises ValueError for an o above _O_MAX."""
     limit, ps, ells, os = _tables.get(a, _EMPTY_TABLE)
     if y > limit:
-        y = max(y, min(2 * limit, SIEVE_MAX))
+        if geometric:
+            y = max(y, min(2 * limit, SIEVE_MAX))
         primes = primes_upto(y)
         new = array("I", [p for p in primes[bisect_right(primes, limit):] if a % p != 0])
         new_ells, new_os = array("I"), array("I")
@@ -92,8 +93,7 @@ def _table(a: int, y: int) -> tuple[array, array, array]:
 def order_columns(seq: SequenceSpec, y: int) -> tuple[array, array, array]:
     """The columns (ps, ells, os) of the base's table cut at the primes
     p <= y not dividing the base, ascending: zip them for the (p, ell, o)
-    triples.  The table first grows past y if it stops below, by the
-    same rule as order_record."""
+    triples.  The table first grows to exactly y if it stops below."""
     ps, ells, os = _table(seq.base, y)
     k = bisect_right(ps, y)
     return ps[:k], ells[:k], os[:k]
@@ -107,7 +107,7 @@ def order_record(seq: SequenceSpec, p: int) -> tuple[int, int]:
     cost a table build up to max(p, twice the old limit).  Raises
     ValueError when p is not a prime, divides the base or lies above
     SIEVE_MAX."""
-    ps, ells, os = _table(seq.base, p)
+    ps, ells, os = _table(seq.base, p, geometric=True)
     i = bisect_left(ps, p)
     if i == len(ps) or ps[i] != p:
         raise ValueError(f"{p} is not a prime coprime to the base {seq.base}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import SIEVE_MAX, Factorization, divisors, primes_upto
 from .orders import SequenceSpec, order_columns, term_valuation_direct
@@ -89,8 +90,7 @@ class CutoffSpec:
         return f"floor(n ** {self.param})"
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     n: int
     cutoff_y: int
     log_s: float
@@ -178,8 +178,7 @@ def enumerate_members(seq: SequenceSpec, cutoff: CutoffSpec, c, N: int) -> list[
     return [n for n in range(1, N + 1) if membership(seq, n, cutoff, c).member]
 
 
-@dataclass(frozen=True)
-class CountingReport:
+class CountingReport(NamedTuple):
     """Prime count against its certified combinatorial ceiling."""
 
     n: int

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import valuation
 from .bounds import density_bound
@@ -43,8 +43,7 @@ def _lte_window_sum(seq: SequenceSpec, p: int, ell: int, o: int, N: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     N: int
     cutoff_y: int
     log_Q: float  # n-major evaluation
@@ -107,8 +106,7 @@ def _dyadic_index(ell: int) -> int:
     return (ell - 1).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class DyadicReport:
+class DyadicReport(NamedTuple):
     N: int
     y: float
     Q1_size: int
@@ -151,8 +149,7 @@ def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
     )
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(NamedTuple):
     window_upper: float  # window is (window_upper/2, window_upper]
     member_count: int
     density_bound: float | None  # at floor(window_upper), when defined

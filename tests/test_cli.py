@@ -341,6 +341,18 @@ class TestBinomialCommand:
         assert lines[0].startswith("n,")
         assert len(lines) == 4
 
+    def test_range_past_the_sieve_is_a_domain_error(self, runner):
+        # the smallest N with 2N above SIEVE_MAX, refused before the
+        # range 1..N or any row is built
+        N = SIEVE_MAX // 2 + 1
+        start = time.perf_counter()
+        result = runner.invoke(main, ["binomial", "--N", str(N)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: prime cutoff {2 * N} exceeds the sieve limit SIEVE_MAX = {SIEVE_MAX}\n"
+        )
+
 
 class TestOutFile:
     def test_out_path(self, runner, tmp_path):

@@ -3,9 +3,16 @@
 No linter ships with the project, so this walks each module's syntax
 tree instead.  __init__.py is left out: its imports are the package's
 public names.  __future__ imports are exempt.
+
+No library module imports mpmath at import time either.  Only the
+50-digit mode of bounds uses it, and importing it costs a process about
+30 ms and 4 MB, so it is imported where it is used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +43,46 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_at_import_time(source: str) -> set[str]:
+    """Top-level names of the modules that source imports outside every
+    function body, that is, while the module itself is being imported."""
+    names = set()
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_finds_an_import_time_import():
+    source = (
+        "import math, mpmath.libmp\n"
+        "if True:\n    from fractions import Fraction\n"
+        "class A:\n    from decimal import Decimal\n"
+        "def f():\n    import json\n"
+        "from . import arith\n"
+    )
+    assert imported_at_import_time(source) == {"math", "mpmath", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_mpmath_at_import_time(path):
+    assert "mpmath" not in imported_at_import_time(path.read_text())
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    result = subprocess.run(
+        [sys.executable, "-c", "import smoothlab.cli, sys; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"

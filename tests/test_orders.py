@@ -177,6 +177,17 @@ class TestOrderRecordsBatch:
         assert len(builds) <= 20
         assert got == list(zip(*order_columns(seq, 4 * 10**4)))
 
+    def test_batch_read_grows_the_table_to_exactly_y(self, monkeypatch):
+        # a batch read names every prime it needs, so its growth stops at
+        # y: doubling from 999983 would build 1999966 to cover 17 more
+        monkeypatch.setattr(orders, "_tables", {})
+        seq = SequenceSpec(5)
+        order_record(seq, 999983)
+        grown = order_columns(seq, 10**6)
+        assert orders._tables[5][0] == 10**6
+        monkeypatch.setattr(orders, "_tables", {})
+        assert grown == order_columns(seq, 10**6)
+
     @pytest.mark.parametrize("fault, raised", [
         (RuntimeError("interrupted"), RuntimeError),  # a pass stopped part way
         (2**32, ValueError),  # an o too large for the o column

@@ -3,7 +3,10 @@
 Everything here is pure and deterministic.  The only shared state is the
 cached prime sieve behind primes_upto: it starts at 1000, at least
 doubles when a larger cutoff is asked for, and is swapped in whole as
-one (limit, primes) pair.  Cutoffs above SIEVE_MAX raise ValueError.
+one (limit, primes, mark) triple, mark being the sieve's byte array with
+a 1 at exactly the primes, so a caller can read the primes of an
+arithmetic progression off it as a C-level slice.  Cutoffs above
+SIEVE_MAX raise ValueError.
 smallest_prime_factors builds a fresh least-prime-factor array from that
 sieve, so a whole range of integers factors without trial division.
 """
@@ -89,42 +92,61 @@ class Factorization:
         return len(self.entries)
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending.  Empty for limit < 2."""
-    if limit < 2:
-        return []
+def _sieve_mark(limit: int) -> bytearray:
+    """Eratosthenes' byte array for limit >= 1: entry m is 1 exactly
+    when m <= limit is prime."""
     mark = bytearray([1]) * (limit + 1)
     mark[0] = mark[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if mark[p]:
             mark[p * p :: p] = bytearray((limit - p * p) // p + 1)
-    return list(compress(range(limit + 1), mark))
+    return mark
 
 
-# (limit, ascending primes <= limit), replaced whole so readers always
-# see a matching pair; two callers growing it at once at worst sieve
-# twice.  Grows by at least doubling, up to SIEVE_MAX.
-_sieve: tuple[int, list[int]] = (1000, sieve_primes(1000))
+def sieve_primes(limit: int) -> list[int]:
+    """All primes <= limit, ascending.  Empty for limit < 2."""
+    if limit < 2:
+        return []
+    return list(compress(range(limit + 1), _sieve_mark(limit)))
 
 
-def primes_upto(limit: int) -> list[int]:
-    """Cached ascending prime list for 0 <= limit <= SIEVE_MAX.
+def _sieve_triple(limit: int) -> tuple[int, list[int], bytearray]:
+    mark = _sieve_mark(limit)
+    return limit, list(compress(range(limit + 1), mark)), mark
+
+
+# (limit, ascending primes <= limit, _sieve_mark(limit)), replaced whole
+# so readers always see a matching triple; two callers growing it at once
+# at worst sieve twice.  Grows by at least doubling, up to SIEVE_MAX.
+_sieve: tuple[int, list[int], bytearray] = _sieve_triple(1000)
+
+
+def _shared_sieve(limit: int) -> tuple[int, list[int], bytearray]:
+    """The shared (sieved, primes, mark) triple, first grown to cover
+    limit if it stops below; sieved >= limit, so read primes and mark up
+    to limit only.
 
     Raises ValueError above SIEVE_MAX, before anything is allocated."""
     global _sieve
-    if limit < 2:
-        return []
     if limit > SIEVE_MAX:
         try:
             shown = str(limit)
         except ValueError:  # past Python's int-to-str digit limit
             shown = f">= 2^{limit.bit_length() - 1}"
         raise ValueError(f"prime cutoff {shown} exceeds the sieve limit SIEVE_MAX = {SIEVE_MAX}")
-    sieved, primes = _sieve
-    if limit > sieved:
-        sieved = min(max(limit, 2 * sieved), SIEVE_MAX)
-        primes = sieve_primes(sieved)
-        _sieve = (sieved, primes)
+    sieve = _sieve
+    if limit > sieve[0]:
+        sieve = _sieve = _sieve_triple(min(max(limit, 2 * sieve[0]), SIEVE_MAX))
+    return sieve
+
+
+def primes_upto(limit: int) -> list[int]:
+    """Cached ascending prime list for 0 <= limit <= SIEVE_MAX.
+
+    Raises ValueError above SIEVE_MAX, before anything is allocated."""
+    if limit < 2:
+        return []
+    sieved, primes, _ = _shared_sieve(limit)
     if limit >= sieved:
         return primes
     return primes[: bisect_right(primes, limit)]

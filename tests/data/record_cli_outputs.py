@@ -52,6 +52,13 @@ COMMANDS = [f"{cmd} --format {fmt}" for cmd in _BOTH_FORMATS for fmt in ("json",
     # the 50-digit mode, the one caller of mpmath
     "bounds --N 1000000 --p 1000003 --precision high --format json",
     "bounds --N 1000000 --p 1000003 --precision high --format csv",
+    # single terms on both sides of the sparse-candidate / all-primes split
+    "svalue --base 2 --n 999983 --K 1",
+    "svalue --base 3 --n 9973 --y 300000",
+    "membership --base 10 --n 720720 --K 1 --c 1.01",
+    "svalue --base 7 --n 524288 --K 3/2 --format csv",
+    "membership --base 3 --n 997920 --K 1 --c 101/100 --format csv",
+    f"svalue --base {BIG2} --n 720 --K 1",
 ]
 
 

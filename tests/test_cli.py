@@ -61,6 +61,18 @@ class TestMembershipCommand:
                                       "--c", "1"])
         assert result.exit_code == 2
 
+    def test_huge_n_is_trial_divided_only_below_y(self, runner):
+        # n = 10^45 at y = 10^5; threshold, margin and member are left
+        # out, since n * ln c is still taken from float(c) = 1.0 here
+        # (tests/test_smooth.py's strict xfail)
+        start = time.perf_counter()
+        doc = invoke_json(runner, ["membership", "--base", "2", "--n", str(10**45),
+                                   "--K", f"1/{10**40}", "--c", "1." + "0" * 39 + "1"])
+        assert time.perf_counter() - start < 1.0
+        row = doc["results"][0]
+        assert (row["cutoff_y"], row["log_s"], row["exact_tiebreak_used"]) == (
+            10**5, 278.97636216302317, False)
+
 
 class TestEnumerateCommand:
     def test_json(self, runner):

@@ -1,4 +1,6 @@
 import math
+import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
@@ -6,11 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothlab.arith import primes_upto, smooth_part_oracle
+from smoothlab.arith import _shared_sieve, primes_upto, sieve_primes, smooth_part_oracle
 from smoothlab.orders import SequenceSpec, term_valuation_direct
 from smoothlab.smooth import (
+    _SLICE_SHARE,
     CutoffSpec,
     _integer_root,
+    _slice_union,
+    _slices,
     counting_report,
     enumerate_members,
     membership,
@@ -59,6 +64,14 @@ class TestCutoffSpec:
         for cut in (CutoffSpec.linear(Fraction(1, 3)), CutoffSpec.power(Fraction(1, 2))):
             values = [cut.value_at(n) for n in range(1, 200)]
             assert values == sorted(values)
+
+
+def slice_plan(a, n, Y):
+    """smooth_part_of_term's slice candidates at the scan limit Y, taken
+    whichever route its estimate picks, with that estimate and pi(Y)."""
+    _, primes, mark = _shared_sieve(Y)
+    slices, visits = _slices(a, n, Y, primes)
+    return _slice_union(slices, mark), visits, bisect_right(primes, Y)
 
 
 class TestSmoothPartOfTerm:
@@ -122,6 +135,51 @@ class TestSmoothPartOfTerm:
         exponents = dict(want)
         for p in primes_upto(y):
             assert term_valuation_direct(seq, n, p) == exponents.get(p, 0)
+
+    @given(
+        a=st.one_of(st.integers(min_value=2, max_value=40),
+                    st.sampled_from([1 + 3**300, 1 + 2**300])),
+        n=st.one_of(st.sampled_from([720, 5040, 55440, 166320, 720720]),
+                    st.integers(min_value=1, max_value=2 * 10**5)),
+        Y=st.integers(min_value=0, max_value=3 * 10**5),
+    )
+    @example(a=31, n=1, Y=100)  # n = 1: only the primes of a - 1 = 30 divide the term
+    @example(a=2, n=26, Y=2**13 - 1)  # Y = a^d - 1 for d = 13, itself the prime 8191
+    @example(a=2, n=26, Y=2**13 - 2)
+    @example(a=2, n=26, Y=2**13)  # the slice of d = 13 stops at a^d - 1 = Y - 1
+    @example(a=2, n=8, Y=100)  # 17 has order 8 = 4 * 2, 4 the largest d | n with 2^d <= Y
+    @example(a=40, n=6, Y=39)  # a - 1 >= Y: the one slice is d = 1
+    @example(a=3, n=2, Y=2)  # p = 2 at an odd base
+    @example(a=2, n=199999, Y=3 * 10**5)  # a prime n
+    @settings(max_examples=60)
+    def test_slices_hold_every_prime_of_the_term(self, a, n, Y):
+        # the slice route at any estimate, dense n included, against the
+        # oracle's own scan of every prime <= Y
+        candidates, _, _ = slice_plan(a, n, Y)
+        assert candidates == sorted(set(candidates))
+        assert set(candidates) <= set(sieve_primes(Y))
+        assert {p for p, _ in smooth_part_by_pow(a, n, Y)} <= set(candidates)
+
+    def test_prime_n_has_few_candidates(self):
+        # every prime of 2^n - 1 is 1 mod n, so none lies below Y = n
+        candidates, visits, count = slice_plan(2, 999983, 999983)
+        assert visits < _SLICE_SHARE * count
+        assert len(candidates) < count / 100
+
+    @pytest.mark.parametrize("a, n", [(10, 720720), (1 + 3**300, 5040)])
+    def test_dense_terms_scan_every_prime(self, a, n):
+        # nearly every prime <= n is 1 mod some divisor of n, or the
+        # base exceeds Y so that d = 1 reaches Y
+        _, visits, count = slice_plan(a, n, n)
+        assert visits >= _SLICE_SHARE * count
+
+    def test_prime_n_near_2_to_the_100(self):
+        # only n's prime factors below Y are sought, by trial division
+        n = 2**100 - 15  # prime
+        start = time.perf_counter()
+        got = smooth_part_of_term(SequenceSpec(10), n, 10**5)
+        assert time.perf_counter() - start < 1.0
+        assert dict(got) == {3: 2}  # v_3(10^n - 1) = v_3(9) + v_3(n)
 
 
 class TestMembership:

@@ -21,9 +21,12 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
     prime p not dividing n divides Phi_d(a) only for d = ell_p, so the
     pieces already keep apart what rho would have to split.  Each piece
     is Phi_d(a) = (a^d - 1) // prod of Phi_e(a) over e | d, e < d, taken
-    for ascending d.  When a piece exhausts the rho budget, the
-    FactorizationError carries every prime found so far as its partial
-    result and that piece's unfactored composite as its cofactor.
+    for ascending d.  A prime of Phi_d(a) divides d or has order d, and
+    then p = 1 mod d, so each piece is trial-divided only by the primes
+    of d and those = 1 mod d (factorize's step).  When a piece exhausts
+    the rho budget, the FactorizationError carries every prime found so
+    far as its partial result and that piece's unfactored composite as
+    its cofactor.
     Raises ValueError, before any power of a is built, for a term of
     more than POWER_CUTOFF_MAX_BITS bits counted as n * bits(a).
     """
@@ -43,7 +46,7 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
                 piece //= phi
         pieces[d] = piece
         try:
-            found.update(dict(factorize(piece)))
+            found.update(dict(factorize(piece, step=d)))
         except FactorizationError as exc:
             found.update(dict(exc.partial))
             partial = Factorization(tuple(sorted(found.items())))

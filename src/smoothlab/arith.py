@@ -17,7 +17,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 # Trial division handles primes up to this bound; beyond it Pollard rho
 # takes over.
@@ -93,26 +93,49 @@ class Factorization:
 
 
 def _sieve_mark(limit: int) -> bytearray:
-    """Eratosthenes' byte array for limit >= 1: entry m is 1 exactly
+    """Eratosthenes' byte array for limit >= 0: entry m is 1 exactly
     when m <= limit is prime."""
     mark = bytearray([1]) * (limit + 1)
-    mark[0] = mark[1] = 0
+    mark[:2] = bytes(min(limit + 1, 2))
     for p in range(2, math.isqrt(limit) + 1):
         if mark[p]:
             mark[p * p :: p] = bytearray((limit - p * p) // p + 1)
     return mark
 
 
+def _marked_primes(mark: bytearray) -> list[int]:
+    """The primes a _sieve_mark marks, ascending: 2, then its odd
+    positions only, which halves the integers made.  The odd positions
+    are read through a memoryview, as a copy of them would add half the
+    mark to the peak (50 MB at SIEVE_MAX)."""
+    primes = [2] if len(mark) > 2 else []
+    primes += compress(range(3, len(mark), 2), memoryview(mark)[3::2])
+    return primes
+
+
+def _check_cutoff(limit: int) -> None:
+    """Raise ValueError for a sieve cutoff above SIEVE_MAX."""
+    if limit > SIEVE_MAX:
+        try:
+            shown = str(limit)
+        except ValueError:  # past Python's int-to-str digit limit
+            shown = f">= 2^{limit.bit_length() - 1}"
+        raise ValueError(f"prime cutoff {shown} exceeds the sieve limit SIEVE_MAX = {SIEVE_MAX}")
+
+
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending.  Empty for limit < 2."""
+    """All primes <= limit, ascending, from a fresh sieve.  Empty for
+    limit < 2; raises ValueError above SIEVE_MAX, before anything is
+    allocated."""
+    _check_cutoff(limit)
     if limit < 2:
         return []
-    return list(compress(range(limit + 1), _sieve_mark(limit)))
+    return _marked_primes(_sieve_mark(limit))
 
 
 def _sieve_triple(limit: int) -> tuple[int, list[int], bytearray]:
     mark = _sieve_mark(limit)
-    return limit, list(compress(range(limit + 1), mark)), mark
+    return limit, _marked_primes(mark), mark
 
 
 # (limit, ascending primes <= limit, _sieve_mark(limit)), replaced whole
@@ -128,12 +151,7 @@ def _shared_sieve(limit: int) -> tuple[int, list[int], bytearray]:
 
     Raises ValueError above SIEVE_MAX, before anything is allocated."""
     global _sieve
-    if limit > SIEVE_MAX:
-        try:
-            shown = str(limit)
-        except ValueError:  # past Python's int-to-str digit limit
-            shown = f">= 2^{limit.bit_length() - 1}"
-        raise ValueError(f"prime cutoff {shown} exceeds the sieve limit SIEVE_MAX = {SIEVE_MAX}")
+    _check_cutoff(limit)
     sieve = _sieve
     if limit > sieve[0]:
         sieve = _sieve = _sieve_triple(min(max(limit, 2 * sieve[0]), SIEVE_MAX))
@@ -293,7 +311,7 @@ def _rho_split(n: int, budget: int) -> int:
     return 0
 
 
-def factorize(m: int, budget: int = RHO_BUDGET) -> Factorization:
+def factorize(m: int, budget: int = RHO_BUDGET, *, step: int = 1) -> Factorization:
     """Complete factorization of m >= 1.
 
     Trial division by sieved primes up to TRIAL_DIVISION_LIMIT, then
@@ -301,14 +319,36 @@ def factorize(m: int, budget: int = RHO_BUDGET) -> Factorization:
     is_prime, a proof of primality below psi_13 (about 3.3e24) and
     Baillie-PSW above it.  Raises FactorizationError (with the partial
     result) if rho exhausts its budget.
+
+    step >= 1 is the caller's promise that every prime factor of m
+    divides step or is = 1 mod step, as for a cyclotomic value
+    Phi_d(a) with step = d.  Trial division then tries only the primes
+    of gcd(m, step), all below step + 1, and the primes = 1 mod
+    lcm(step, 2) (an odd prime = 1 mod step is = 1 mod 2 step), read
+    off the sieve's byte mark as one C-level slice.  These are, in
+    ascending order, the only primes of the full list that could
+    divide m, so the result, and a FactorizationError's partial result
+    and cofactor, stay as they are without step; a broken promise can
+    leave a composite survivor below the square of the trial bound
+    reported as prime.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if step < 1:
+        raise ValueError("step must be >= 1")
     if m == 1:
         return Factorization()
     found: dict[int, int] = {}
     rest = m
-    for p in primes_upto(min(math.isqrt(rest), TRIAL_DIVISION_LIMIT)):
+    bound = min(math.isqrt(rest), TRIAL_DIVISION_LIMIT)
+    if step == 1:
+        candidates = primes_upto(bound)
+    else:
+        s = step if step % 2 == 0 else 2 * step
+        _, _, mark = _shared_sieve(bound)
+        own = [q for q, _ in factorize(math.gcd(m, step)) if q <= bound]
+        candidates = chain(own, compress(range(s + 1, bound + 1, s), mark[s + 1 : bound + 1 : s]))
+    for p in candidates:
         if p * p > rest:
             break
         if rest % p == 0:

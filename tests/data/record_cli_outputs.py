@@ -59,6 +59,15 @@ COMMANDS = [f"{cmd} --format {fmt}" for cmd in _BOTH_FORMATS for fmt in ("json",
     "svalue --base 7 --n 524288 --K 3/2 --format csv",
     "membership --base 3 --n 997920 --K 1 --c 101/100 --format csv",
     f"svalue --base {BIG2} --n 720 --K 1",
+    # cyclotomic pieces trial-divided by the primes = 1 mod d only
+    "abc --base 7 --n 29 --K 1 --c 1.01",
+    "abc --base 10 --n 17 --K 1 --c 1.01",
+    "abc --base 5 --n 31 --K 1 --c 1.011",
+    # slices decided by one (a^g - 1) mod p pass, with their sub-progressions
+    "svalue --base 10 --n 977899 --K 1",
+    "svalue --base 6 --n 570393 --K 1",
+    "svalue --base 7 --n 290925 --K 1 --format csv",
+    "membership --base 2 --n 500000 --K 1 --c 1.01",
 ]
 
 

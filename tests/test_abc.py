@@ -113,6 +113,44 @@ class TestFactorTerm:
             factor_term(SequenceSpec(2), 2**19 + 1)
 
 
+def factorize_outcome(m, budget, **kwargs):
+    """factorize's result, or the partial result and cofactor it raised."""
+    try:
+        return factorize(m, budget, **kwargs)
+    except FactorizationError as exc:
+        return exc.partial, exc.cofactor
+
+
+class TestStepPromise:
+    # the primes of Phi_d(a) divide d or are = 1 mod d, so trial division
+    # by those primes alone finds what the full prime list finds
+    @given(a=st.integers(min_value=2, max_value=40), d=st.integers(min_value=1, max_value=120),
+           budget=st.sampled_from([100, 2**12]))
+    @example(a=12, d=1, budget=2**12)
+    @example(a=7, d=2, budget=2**12)
+    @example(a=2, d=6, budget=2**12)  # Phi_6(2) = 3, a prime of d
+    @example(a=3, d=37, budget=2**16)  # 13097927 * 17189128703, split by rho
+    @example(a=3, d=65, budget=100)  # the budget failure of 3^65 - 1 below
+    @settings(max_examples=60, deadline=None)
+    def test_step_changes_nothing(self, a, d, budget):
+        piece = cyclotomic_value(d, a)
+        assert factorize_outcome(piece, budget, step=d) == factorize_outcome(piece, budget)
+
+    def test_examples_take_their_paths(self):
+        # 3 | Phi_6(2) with 3 | 6; Phi_37(3) is above 10^12 with no prime
+        # below 10^6; Phi_65(3) leaves rho a cofactor it cannot split in 100
+        assert dict(factorize(cyclotomic_value(6, 2), step=6)) == {3: 1}
+        assert dict(factorize(cyclotomic_value(37, 3), step=37)) == {13097927: 1, 17189128703: 1}
+        with pytest.raises(FactorizationError) as exc:
+            factorize(cyclotomic_value(65, 3), budget=100, step=65)
+        assert dict(exc.value.partial) == {131: 1}
+        assert exc.value.cofactor == 3701101 * 110133112994711
+
+    def test_rejects_step_below_one(self):
+        with pytest.raises(ValueError):
+            factorize(15, step=0)
+
+
 class TestAbcQuality:
     def test_quality_example(self):
         rep = abc_quality(SequenceSpec(2), 6, 1, Fraction(6, 5))

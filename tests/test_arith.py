@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothlab import arith
 from smoothlab.arith import (
     SIEVE_MAX,
     Factorization,
+    _sieve_triple,
     divisors,
     factorize,
     is_prime,
@@ -61,6 +63,22 @@ class TestSieve:
         expected = [n for n in range(2, 3001) if trial_division_is_prime(n)]
         for limit in range(3001):
             assert sieve_primes(limit) == expected[: bisect_right(expected, limit)]
+
+    def test_shared_triple_reads_odd_positions_only(self):
+        # the prime list is 2 and then the odd positions of the mark, so
+        # the edges sit at small limits and at both parities of the limit
+        for limit in [*range(201), *range(10**5 - 3, 10**5 + 4)]:
+            sieved, primes, mark = _sieve_triple(limit)
+            assert sieved == limit and len(mark) == limit + 1
+            assert primes == [m for m in range(limit + 1) if is_prime(m)], limit
+
+    def test_rejects_limit_above_sieve_max_before_allocating(self, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("sieved before the limit check")
+
+        monkeypatch.setattr(arith, "_sieve_mark", no_sieve)
+        with pytest.raises(ValueError, match="SIEVE_MAX"):
+            sieve_primes(SIEVE_MAX + 1)
 
 
 class TestSmallestPrimeFactors:

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothlab.arith import _shared_sieve, primes_upto, sieve_primes, smooth_part_oracle
+from smoothlab.arith import _shared_sieve, primes_upto, smooth_part_oracle
 from smoothlab.orders import SequenceSpec, term_valuation_direct
+from smoothlab import smooth
 from smoothlab.smooth import (
+    _FEW_CANDIDATES,
+    _MOD_PASS_BITS,
     _SLICE_SHARE,
     CutoffSpec,
     _integer_root,
-    _slice_union,
+    _slice_hits,
     _slices,
     counting_report,
     enumerate_members,
@@ -67,11 +70,12 @@ class TestCutoffSpec:
 
 
 def slice_plan(a, n, Y):
-    """smooth_part_of_term's slice candidates at the scan limit Y, taken
-    whichever route its estimate picks, with that estimate and pi(Y)."""
+    """The primes smooth_part_of_term's slice route finds at the scan
+    limit Y, ascending, taken whichever route its estimate picks, with
+    that estimate and pi(Y)."""
     _, primes, mark = _shared_sieve(Y)
-    slices, visits = _slices(a, n, Y, primes)
-    return _slice_union(slices, mark), visits, bisect_right(primes, Y)
+    slices, visits, qs = _slices(a, n, Y, primes)
+    return sorted(_slice_hits(a, n, Y, slices, qs, primes, mark)), visits, bisect_right(primes, Y)
 
 
 class TestSmoothPartOfTerm:
@@ -139,7 +143,7 @@ class TestSmoothPartOfTerm:
     @given(
         a=st.one_of(st.integers(min_value=2, max_value=40),
                     st.sampled_from([1 + 3**300, 1 + 2**300])),
-        n=st.one_of(st.sampled_from([720, 5040, 55440, 166320, 720720]),
+        n=st.one_of(st.sampled_from([720, 5040, 55440, 166320, 720720, 500000, 977899]),
                     st.integers(min_value=1, max_value=2 * 10**5)),
         Y=st.integers(min_value=0, max_value=3 * 10**5),
     )
@@ -151,20 +155,40 @@ class TestSmoothPartOfTerm:
     @example(a=40, n=6, Y=39)  # a - 1 >= Y: the one slice is d = 1
     @example(a=3, n=2, Y=2)  # p = 2 at an odd base
     @example(a=2, n=199999, Y=3 * 10**5)  # a prime n
+    @example(a=2, n=500000, Y=3 * 10**5)  # 2^5 * 5^6: large sub-progressions
+    @example(a=7, n=500000, Y=3 * 10**5)
+    @example(a=10, n=977899, Y=3 * 10**5)  # 13 * 75223: one pass decides the slice of 13
+    @example(a=2, n=2**18, Y=3 * 10**5)  # 2^g - 1 past the bit cap from g = 2^11 on
+    @example(a=1 + 3**300, n=720720, Y=10**5)  # a^g - 1 past the cap from g = 4 on
     @settings(max_examples=60)
-    def test_slices_hold_every_prime_of_the_term(self, a, n, Y):
+    def test_slice_hits_are_the_primes_of_the_term(self, a, n, Y):
         # the slice route at any estimate, dense n included, against the
         # oracle's own scan of every prime <= Y
-        candidates, _, _ = slice_plan(a, n, Y)
-        assert candidates == sorted(set(candidates))
-        assert set(candidates) <= set(sieve_primes(Y))
-        assert {p for p, _ in smooth_part_by_pow(a, n, Y)} <= set(candidates)
+        hits, _, _ = slice_plan(a, n, Y)
+        assert hits == [p for p, _ in smooth_part_by_pow(a, n, Y)]
+
+    @pytest.mark.parametrize("a, n, Y", [(2, 2**18, 3 * 10**5), (1 + 3**300, 720720, 10**5)])
+    def test_bit_cap_examples_reach_the_cap(self, monkeypatch, a, n, Y):
+        # the two @examples above take a progression of at least
+        # _FEW_CANDIDATES primes whose a^g - 1 passes the bit cap
+        taken = []
+        progression = smooth._progression
+
+        def recording(t, L, primes, mark):
+            found = progression(t, L, primes, mark)
+            taken.append((t, len(found)))
+            return found
+
+        monkeypatch.setattr(smooth, "_progression", recording)
+        slice_plan(a, n, Y)
+        assert any(math.gcd(n, t) * math.log2(a) > _MOD_PASS_BITS and size >= _FEW_CANDIDATES
+                   for t, size in taken)
 
     def test_prime_n_has_few_candidates(self):
         # every prime of 2^n - 1 is 1 mod n, so none lies below Y = n
-        candidates, visits, count = slice_plan(2, 999983, 999983)
-        assert visits < _SLICE_SHARE * count
-        assert len(candidates) < count / 100
+        hits, visits, count = slice_plan(2, 999983, 999983)
+        assert hits == []
+        assert visits < count / 100 < _SLICE_SHARE * count
 
     @pytest.mark.parametrize("a, n", [(10, 720720), (1 + 3**300, 5040)])
     def test_dense_terms_scan_every_prime(self, a, n):

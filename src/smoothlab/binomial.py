@@ -4,6 +4,8 @@ factors sit below 2n, so the 2n-smooth part is the whole coefficient."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import islice
 from typing import NamedTuple
 
 from .arith import Factorization, primes_upto
@@ -44,14 +46,22 @@ def binomial_membership(n: int) -> BinomialReport:
     coefficient itself, and compared (strictly) with 2^n.
 
     n = 1 is the boundary: 2 > 2 fails, so it is reported non-member.
+    A prime p with p^2 > 2n adds n + n in at most two base-p digits.  The
+    high digit n // p <= (p - 1) / 2 carries only with a carry in from a
+    low digit n mod p >= (p + 1) / 2, and both at once make 2n > p^2.  So
+    such p has v_p = 1 exactly when 2 (n mod p) >= p, and only the primes
+    up to sqrt(2n) count their carries digit by digit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    primes = primes_upto(2 * n)
+    k = bisect_right(primes, math.isqrt(2 * n))
     entries = []
-    for p in primes_upto(2 * n):
+    for p in islice(primes, k):
         e = binomial_valuation(n, p)
         if e:
             entries.append((p, e))
+    entries += [(p, 1) for p in islice(primes, k, None) if 2 * (n % p) >= p]
     factors = Factorization(tuple(entries))
     s = factors.value()
     log_s = factors.log_value()

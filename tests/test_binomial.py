@@ -1,6 +1,6 @@
 import math
 
-from smoothlab.arith import valuation
+from smoothlab.arith import primes_upto, valuation
 from smoothlab.binomial import binomial_membership, binomial_valuation
 
 
@@ -45,3 +45,11 @@ class TestBinomialMembership:
     def test_members_from_2(self):
         for n in range(2, 300):
             assert binomial_membership(n).member
+
+    def test_factors_are_the_carry_counts(self):
+        # primes with p^2 > 2n are read off n mod p, not counted digit by
+        # digit; n near p^2 / 2 puts p on either side of that line
+        ns = set(range(1, 200)) | {p * p // 2 + k for p in primes_upto(60) for k in (-1, 0, 1)}
+        for n in sorted(ns - {0}):
+            want = tuple((p, e) for p in primes_upto(2 * n) if (e := binomial_valuation(n, p)))
+            assert binomial_membership(n).factors.entries == want

@@ -1,6 +1,12 @@
 """Per-prime data for u_n = a^n - 1: multiplicative orders, initial
 valuations, and two independent routes to v_p(a^n - 1) that never build
 a^n - 1 itself.
+
+A base's records come from one table pass over the sieved primes.  By
+lifting the exponent, o_p = v_p(a^(p-1) - 1), so one power of a mod p^2
+per prime settles both the 2-part of ell_p and whether o_p >= 2; only
+the odd part of p - 1 is factored, for the rest of ell_p, and only the
+rare o_p >= 2 (base-a Wieferich primes) is lifted further.
 """
 
 from __future__ import annotations
@@ -9,6 +15,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from .arith import SIEVE_MAX, primes_upto, smallest_prime_factors, valuation
 
@@ -52,9 +59,14 @@ def _lift(a: int, k: int, p: int) -> int:
 
 def _table(a: int, y: int, geometric: bool = False) -> tuple[array, array, array]:
     """Base a's columns (ps, ells, os), first grown to cover y in one
-    pass over the new sieved primes p: each prime q of p - 1, read off
-    one smallest-prime-factor array, is stripped from e = p - 1 while
-    a^(e/q) stays 1 mod p, and the order e is then lifted.
+    pass over the new sieved primes p.  With p - 1 = 2^v m, m odd, one
+    power w = a^m mod p^2 gives both the 2-part of the order and the
+    lift: ell_p's odd part divides m, so w squared j times turns 1 mod p
+    at j = v_2(ell_p), and o_p >= 2 exactly when that power is 1 mod p^2.
+    The odd part of ell_p is the order of b = a^(2^v) mod p: each prime q
+    of m, read off one smallest-prime-factor array of the odd parts, is
+    stripped from e = m while b^(e/q) stays 1 mod p.  Only an o_p >= 2 is
+    lifted further, to its exact value.
 
     The new range's columns are built apart and the table is swapped in
     whole as one (limit, ps, ells, os) tuple of concatenated arrays, so an
@@ -68,21 +80,35 @@ def _table(a: int, y: int, geometric: bool = False) -> tuple[array, array, array
         if geometric:
             y = max(y, min(2 * limit, SIEVE_MAX))
         primes = primes_upto(y)
-        new = array("I", [p for p in primes[bisect_right(primes, limit):] if a % p != 0])
+        new = array("I", filter(a.__mod__, islice(primes, bisect_right(primes, limit), None)))
         new_ells, new_os = array("I"), array("I")
         if new:
-            spf = smallest_prime_factors(new[-1] - 1)
+            spf = smallest_prime_factors((new[-1] - 1) // 2)
             for p in new:
-                e = m = p - 1
+                v = ((p - 1) & (1 - p)).bit_length() - 1
+                e = m = (p - 1) >> v
+                p2 = p * p
+                w = pow(a, m, p2)
+                j = 0
+                while w % p != 1:
+                    w = w * w % p2
+                    j += 1
+                # w = 1 + kp now, and for odd p its 2^i-th power is
+                # 1 + 2^i kp mod p^2 (p = 2 has v = 0): so a^(p-1) = 1
+                # mod p^2, that is o_p = v_p(a^(p-1) - 1) >= 2, iff w == 1
+                b = pow(a, 1 << v, p)
                 while m > 1:
                     q = spf[m] or m  # 0 marks a prime m
                     while m % q == 0:
                         m //= q
-                    while e % q == 0 and pow(a, e // q, p) == 1:
+                    while e % q == 0 and pow(b, e // q, p) == 1:
                         e //= q
-                o = _lift(a, e, p)
-                if o > _O_MAX:
-                    raise ValueError(f"o_{p} = {o} exceeds {_O_MAX}, the most the order table holds")
+                e <<= j
+                o = 1
+                if w == 1:
+                    o = _lift(a, e, p)
+                    if o > _O_MAX:
+                        raise ValueError(f"o_{p} = {o} exceeds {_O_MAX}, the most the order table holds")
                 new_ells.append(e)
                 new_os.append(o)
         ps, ells, os = ps + new, ells + new_ells, os + new_os

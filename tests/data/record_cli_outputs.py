@@ -68,6 +68,10 @@ COMMANDS = [f"{cmd} --format {fmt}" for cmd in _BOTH_FORMATS for fmt in ("json",
     "svalue --base 6 --n 570393 --K 1",
     "svalue --base 7 --n 290925 --K 1 --format csv",
     "membership --base 2 --n 500000 --K 1 --c 1.01",
+    # order tables to 10^5 and 360360: the dyadic S1 sums o ln p / ell
+    # over every record, so one wrong record changes its bytes
+    *(f"dyadic --base {b} --N 100000 --K 1" for b in (2, 3, 5, 6, 7, 10)),
+    "snk --base 3 --n 360360 --K 1 --format csv",
 ]
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from array import array
 from unittest import mock
 
 import pytest
@@ -83,6 +84,46 @@ class TestInitialValuation:
                 _, o = order_record(seq, p)
                 assert o == valuation(a**ell - 1, p)
 
+    @pytest.mark.parametrize("a, expected", [
+        (2, {1093: 2, 3511: 2}),
+        (3, {11: 2}),
+        (5, {2: 2, 20771: 2, 40487: 2}),
+        (7, {5: 2}),
+        (10, {3: 2, 487: 2}),
+        (28, {3: 3, 19: 2, 23: 2}),
+    ])
+    def test_o_above_1_only_at_the_wieferich_primes(self, a, expected):
+        # o_p = v_p(a^(p-1) - 1), so o_p >= 2 just where a^(p-1) = 1 mod
+        # p^2; these are all such p <= 5 * 10^4 for these bases
+        seq = SequenceSpec(a)
+        records = {}
+        for p, o in expected.items():
+            ell = order_by_enumeration(a, p)
+            assert valuation(a**ell - 1, p) == o
+            records[p] = (ell, o)
+            assert order_record(seq, p) == (ell, o)
+        with mock.patch.dict(orders._tables, clear=True):
+            columns = order_columns(seq, 5 * 10**4)
+        assert {p: (ell, o) for p, ell, o in zip(*columns) if o > 1} == records
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 17, 257, 65537, 12289, 40961, 786433])
+    def test_two_adic_edges(self, p):
+        # the Fermat primes have an odd part m = 1 of p - 1; 12289, 40961
+        # and 786433 have v_2(p - 1) = 12, 13 and 18.  A table that stops
+        # at p - 1 grows by p alone.
+        divisors = sorted({d for k in range(1, math.isqrt(p - 1) + 1) if (p - 1) % k == 0
+                           for d in (k, (p - 1) // k)})
+        for a in (2, 3, 5, 6, 7, 10):
+            if a % p == 0:
+                continue
+            ell = next(d for d in divisors if pow(a, d, p) == 1)
+            o = 1
+            while pow(a, ell, p ** (o + 1)) == 1:
+                o += 1
+            seeded = {a: (p - 1, array("I"), array("I"), array("I"))}
+            with mock.patch.dict(orders._tables, seeded):
+                assert list(zip(*order_columns(SequenceSpec(a), p))) == [(p, ell, o)]
+
 
 class TestOrderRecord:
     def test_invariants(self):
@@ -137,6 +178,7 @@ class TestOrderRecordsBatch:
     @example(a=10, y=3000, seed=1, one_prime_at_a_time=False)
     @example(a=12, y=3000, seed=2, one_prime_at_a_time=True)
     @example(a=30, y=3000, seed=3, one_prime_at_a_time=True)
+    @example(a=28, y=3000, seed=4, one_prime_at_a_time=False)  # o_3 = 3, o_19 = o_23 = 2
     @settings(max_examples=30)
     def test_against_enumeration_from_grown_table(self, a, y, seed, one_prime_at_a_time):
         # The table grows either in random cutoff steps (a share of them
@@ -193,33 +235,39 @@ class TestOrderRecordsBatch:
         (2**32, ValueError),  # an o too large for the o column
     ])
     def test_failed_growth_leaves_the_table_as_it_was(self, monkeypatch, fault, raised):
+        # The interruption comes at the 100th power the pass takes, since
+        # every prime takes one; the oversized o at the first lift, which
+        # the pass takes only for an o >= 2, at base 2's prime 1093.
+        if isinstance(fault, Exception):
+            a, name, real, at = 7, "pow", pow, 100
+        else:
+            a, name, real, at = 2, "_lift", orders._lift, 1
         monkeypatch.setattr(orders, "_tables", {})
-        seq = SequenceSpec(7)
-        order_columns(seq, 2000)
-        before = orders._tables[7]
+        seq = SequenceSpec(a)
+        order_columns(seq, 1000)
+        before = orders._tables[a]
         columns = [list(c) for c in before[1:]]
         calls = 0
-        lift = orders._lift
 
-        def faulty(a, k, p):
+        def faulty(*args):
             nonlocal calls
             calls += 1
-            if calls < 100:
-                return lift(a, k, p)
+            if calls < at:
+                return real(*args)
             if isinstance(fault, Exception):
                 raise fault
             return fault
 
-        monkeypatch.setattr(orders, "_lift", faulty)
+        monkeypatch.setattr(orders, name, faulty, raising=False)
         with pytest.raises(raised):
             order_columns(seq, 10**4)
-        assert calls == 100
-        assert orders._tables[7] is before
+        assert calls == at
+        assert orders._tables[a] is before
         assert [list(c) for c in before[1:]] == columns
         ps, ells, os = columns
         assert len(ps) == len(ells) == len(os)
         assert ps == sorted(set(ps))
-        monkeypatch.setattr(orders, "_lift", lift)
+        monkeypatch.setattr(orders, name, real)
         grown = list(zip(*order_columns(seq, 10**4)))
         with mock.patch.dict(orders._tables, clear=True):
             assert list(zip(*order_columns(seq, 10**4))) == grown

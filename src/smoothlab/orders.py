@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
-from .arith import SIEVE_MAX, primes_upto, smallest_prime_factors, valuation
+from .arith import SIEVE_MAX, is_prime, primes_upto, smallest_prime_factors, valuation
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,19 @@ def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:
     not dividing the base, base^k = 1 mod p iff ell_p | k, and ell_p
     divides p - 1, so ell_p | n iff ell_p | gcd(n, p - 1).  When p
     divides the base the residue is 0, and for p = 2 it is base mod 2,
-    so the one test also returns 0 there.
+    so the one test also returns 0 there.  Raises ValueError for a p
+    that is not prime, as valuation does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = seq.base
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _valuation_direct(seq.base, n, p)
+
+
+def _valuation_direct(a: int, n: int, p: int) -> int:
+    """term_valuation_direct for n >= 1 and a p already known prime,
+    for callers that value many n at one p."""
     if pow(a, math.gcd(n, p - 1), p) != 1:
         return 0
     return _lift(a, n, p)
@@ -161,10 +169,13 @@ def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:
 def term_valuation_lte(seq: SequenceSpec, n: int, p: int) -> int:
     """v_p(base^n - 1) from the order data alone: o_p + v_p(n) when
     ell_p | n, else 0, and 0 when p divides the base.  For p = 2 (odd
-    base, ell_2 = 1) each even n adds v_2(base + 1) - 1 on top.
+    base, ell_2 = 1) each even n adds v_2(base + 1) - 1 on top.  Raises
+    ValueError for a p that is not prime, as valuation does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     a = seq.base
     if a % p == 0:
         return 0

@@ -20,42 +20,39 @@ from .orders import SequenceSpec, _lift, order_columns
 # membership decision is re-made in exact integer arithmetic.
 TIE_GUARD = 1e-9
 
-# smooth_part_of_term takes the slice route while _slices' estimate of
-# the primes it visits (each slice, and for a slice that runs to Y its
-# first sub-progressions as well, each progression counted as
-# _FEW_CANDIDATES primes more) stays below this multiple of the primes
-# <= Y, and tests every prime <= Y from there on.  A visited prime
-# mostly costs one C-level (a^g - 1) mod p, below one pow test, so the
-# crossover lies above 1.  Over 600 n in [100, 3000], 400 in
-# [3000, 10^4] and 600 in [10^4, 10^6], half uniform and half 13-smooth,
-# at y = n (random bases 2-10, best of 3 interleaved, 2-core box,
-# Python 3.11), the slice route took a median 0.86, 0.81 and 0.78-0.81
-# of the full scan's time at estimates 1.00-1.25, 0.97, 0.98 and
-# 0.85-1.02 at 1.25-1.50, and 1.04, 1.07 and 1.03-1.16 at 1.50-1.75.
-# At 1.25 the routes taken summed to 1.009, 1.005 and 1.005 times the
-# faster route per n (1.018-1.032 at 1.0, 1.004-1.006 at 1.5).
-_SLICE_SHARE = 1.25
+# smooth_part_of_term takes its per-divisor passes while
+# _divisor_passes' estimate of the primes they visit stays below this
+# multiple of the primes <= Y, and tests every prime <= Y from there on.
+# A visited prime mostly costs one C-level (a^d - 1) mod p, below one
+# pow test, so the crossover lies above 1.  Over 600 n in [100, 3000],
+# 400 in [3000, 10^4] and 600 in [10^4, 10^6], half uniform and half
+# 13-smooth, at y = n (random bases 2-10, both routes timed per n, the
+# full scan with the estimate that picks it, best of 5 interleaved,
+# two seeds, 2-core box, Python 3.11), the passes took a median
+# 0.79-0.80, 0.91 and 0.96-1.01 of the full scan's time at estimates
+# 1.00-1.25, 1.25-1.50 and 1.50-1.75.  At 1.5 the routes taken summed
+# to 1.005-1.008, 1.001-1.003 and 1.002-1.003 times the faster route
+# per n over the three ranges (up to 1.023 at 1.25, up to 1.013 at
+# 1.75).
+_SLICE_SHARE = 1.5
 
-# Most bits of a^g - 1 that _slice_hits divides by each prime of a
-# progression; past it the progression's primes take the
-# a^gcd(n, p - 1) mod p test.  Per prime near 10^6, one (a^g - 1) mod p
-# in a C-level pass took 80-180 ns up to 256 bits, 385 ns at 1024 and
-# 646 ns at 2048, against 420-880 ns for the pow test, but a pass also
-# sends the progression's sub-progressions through passes of their
-# own.  Over bases 2, 3, 5, 6, 7, 10 at 12 n in 5040..10^6 (y = n,
-# best of 5, two copies of the module timed interleaved, 2-core box,
-# Python 3.11), a cap of 256 bits took 1.006 and one of 4096 bits 1.003
-# times as long as 1024: the cap keeps the powers built small at no
-# measurable cost.
+# Most bits of a^d - 1 that a pass divides by each of its primes; past
+# it the pass tests pow(a, d, p) == 1 instead.  Per prime near 10^6, one
+# (a^d - 1) mod p in a C-level pass took 80-180 ns up to 256 bits, 385
+# ns at 1024 and 646 ns at 2048, against 420-880 ns for the pow test.
+# Over bases 2, 3, 5, 6, 7, 10 at 12 n in 5040..10^6 (y = n, best of 5,
+# timed interleaved with another copy of the module, 2-core box, Python
+# 3.11), a cap of 256 bits took 1.014 and one of 4096 bits 1.004 times
+# as long as 1024.
 _MOD_PASS_BITS = 1024
 
-# A progression with fewer primes than this leaves them to the pow
-# test instead of a modulus pass and sub-progressions of its own,
-# whose set-up costs more than a few pow calls; _slices counts the
-# same set-up as this many primes.  Against 16, measured as above, 8
-# took 1.002 and 32 took 1.041 times as long over every n <= 3000 at
-# y = n and n in (1000, 2000] at y = 2000, and 0.998 and 1.000 over
-# the 12 large n.
+# What setting up one pass costs, its progression read off the sieve
+# and a^d - 1 built, counted as this many visited primes in the
+# estimate.  Measured as for _SLICE_SHARE, with no such charge the
+# routes taken summed to 1.029-1.032 times the faster route per n at
+# n <= 3000 (at a share of 1.0, its best there), against 1.005-1.008
+# with 16 at 1.5; 8 gave 1.002-1.004 at 1.25 but up to 1.011 above
+# n = 3000, and 32 gave 1.014-1.019 at 2.0.
 _FEW_CANDIDATES = 16
 
 # Most bits of an integer the package builds from an exponent: of the
@@ -151,80 +148,60 @@ def _scan_limit(a: int, n: int, y: int) -> int:
     return y
 
 
-def _slices(a: int, n: int, Y: int, primes: list[int]) -> tuple[list[tuple[int, int]], float, list[int]]:
-    """Pairs (d, L) whose progressions {p prime : p = 1 mod d, p <= L}
-    together hold every prime p <= Y that divides a^n - 1 and not a, with
-    an estimate of the primes _slice_hits visits for them, and the primes
-    of n below Y, ascending.  The estimate sums pi(L) / phi(d) over the
-    slices and, for a slice that runs to Y, pi(Y) / phi(u) over its
-    first sub-progressions u = lcm(t, g * q) (t = lcm(d, 2), g =
-    gcd(n, t), q a prime of n with g * q | n), and counts each of these
-    progressions as _FEW_CANDIDATES primes more, about what setting it
-    up costs.  The sum stops once it reaches _SLICE_SHARE * pi(Y), where
-    smooth_part_of_term's choice of route is made.
-
-    Such a p has order d = ell_p dividing n and p - 1, so p = 1 mod d,
-    d < p <= Y, and p divides a^d - 1, so p <= a^d - 1.  Each divisor
-    d < Y of n with a^d - 1 < Y gives (d, a^d - 1).  The divisors with
-    a^d - 1 >= Y give (d, Y), but only those no smaller one of them
-    divides: p = 1 mod d implies p = 1 mod e for e | d.  Those minimal d
-    are d = s * q for a divisor s with a^s - 1 < Y and a prime q of n no
-    larger than any prime of s, or d = 1 when a - 1 >= Y.  The primes q
-    come from trial division of n by the ascending sieved primes below
-    Y, so n itself is never factored past Y."""
-    qs = []  # the primes q < Y of n, ascending
+def _divisors_below(n: int, Y: int, primes: list[int]):
+    """Yield (d, phi(d)) for 1 and the divisors d < Y of n, except the
+    odd ones of an even n, built up prime by prime as n's primes below Y
+    turn up in trial division by the ascending sieved primes; so n
+    itself is never factored past Y."""
+    yield 1, 1
+    divisors = [(1, 1)]
     rest = n
     for q in primes:
-        if q * q > rest or q >= Y:
-            if 1 < rest < Y:
-                qs.append(rest)
-            break
-        if rest % q == 0:
-            qs.append(q)
-            while rest % q == 0:
-                rest //= q
-    small = []  # (d, a^d - 1) for d | n, a^d <= Y
-    power, d = a, 1
-    while power <= Y:
-        if n % d == 0:
-            small.append((d, power - 1))
-        power *= a
-        d += 1
-    small_max = d - 1
-    slices = list(small) if small else [(1, Y)]  # small is empty iff a > Y
-    for s, _ in small:
-        for q in qs:
-            d = s * q
-            if d >= Y:
-                break
-            if d > small_max and n % d == 0:
-                slices.append((d, Y))
-            if s % q == 0:  # q is the least prime of s
-                break
+        if q * q > rest:
+            q = rest  # 1, or the last prime of n
+        if q == 1 or q >= Y:
+            return
+        k = 0
+        while rest % q == 0:
+            rest //= q
+            k += 1
+        if not k:
+            continue
+        for i in range(len(divisors)):
+            d, phi = divisors[i]
+            if d == 1 and q > 2 and n % 2 == 0:
+                continue  # its multiples by odd primes are odd
+            d, phi = d * q, phi * (q - 1)
+            for _ in range(k):
+                if d >= Y:
+                    break
+                divisors.append((d, phi))
+                yield d, phi
+                d, phi = d * q, phi * q
+
+
+def _divisor_passes(a: int, n: int, Y: int, primes: list[int]) -> tuple[list[tuple[int, int]], float]:
+    """The passes (d, min(Y, a^d - 1)) of smooth_part_of_term, for d = 1
+    and each divisor d < Y of n except an odd one of an even n, and the
+    sum of pi(L) / phi(d) over them, an estimate of the primes they
+    visit, each pass counted as _FEW_CANDIDATES primes more.  The list
+    stops at the pass that brings the sum to _SLICE_SHARE * pi(Y), where
+    the full scan is taken instead, so a dense n never lists all its
+    divisors."""
     count = bisect_right(primes, Y)
     limit = _SLICE_SHARE * count
+    passes = []
     visits = 0.0
-    for d, L in reversed(slices):  # the larger slices that run to Y first
+    a_bits, Y_bits = a.bit_length() - 1, Y.bit_length()
+    for d, phi in _divisors_below(n, Y, primes):
+        L = Y
+        if d * a_bits < Y_bits:  # else a^d >= 2^(d * a_bits) > Y
+            L = min(Y, a**d - 1)
+        passes.append((d, L))
+        visits += (count if L == Y else bisect_right(primes, L)) / phi + _FEW_CANDIDATES
         if visits >= limit:
-            break  # the route is decided
-        phi = d
-        for q in qs:
-            if d % q == 0:
-                phi -= phi // q
-        if L < Y:
-            visits += bisect_right(primes, L) / phi + _FEW_CANDIDATES
-            continue
-        # phi(lcm(d, 2)) = phi(d); u = lcm(t, g * q) = t * q, as g * q | n
-        # does not divide t, and phi(u) = phi(t) * q, or * (q - 1) where
-        # q is new to t
-        t = d if d % 2 == 0 else 2 * d
-        size = count / phi
-        visits += size + _FEW_CANDIDATES
-        g = math.gcd(n, t)
-        for q in qs:
-            if n % (g * q) == 0 and t * q < Y:
-                visits += size / (q if t % q == 0 else q - 1) + _FEW_CANDIDATES
-    return slices, visits, qs
+            break
+    return passes, visits
 
 
 def _pow_test(a: int, n: int, candidates) -> list[int]:
@@ -244,88 +221,31 @@ def _progression(t: int, L: int, primes: list[int], mark: bytearray) -> list[int
     return list(compress(range(s + 1, L + 1, s), mark[s + 1 : L + 1 : s]))
 
 
-def _slice_hits(a: int, n: int, Y: int, slices: list[tuple[int, int]], qs: list[int],
-                primes: list[int], mark: bytearray) -> set[int]:
-    """The primes of the slices (d, L) that divide a^n - 1, given the
-    primes qs of n below Y and the sieve's byte mark up to Y.
-
-    A slice that stops at L = a^d - 1 < Y is there for the primes of
-    order d, which divide L.  As each such d divides n, a prime that
-    divides the product of these L divides a^n - 1, so one C-level pass
-    of that product mod p over all their primes finds exactly their
-    hits.
-
-    A slice that runs to Y is taken as progressions p = 1 mod t, from
-    t = lcm(d, 2) on (t = 1 for d = 1, whose progression is the prime
-    list).  In one, every p has g = gcd(n, t) dividing G = gcd(n, p - 1).
-    Where G = g, p divides a^n - 1 iff it divides a^g - 1 (ell_p | n iff
-    ell_p | g), and for any p, p | a^g - 1 implies p | a^n - 1, as
-    g | n.  So one pass of (a^g - 1) mod p decides the progression's p
-    with G = g and claims no false hit.  A p with G > g has g * q | G
-    for a prime q of n (q < Y, as g * q <= p - 1), so it lies in the
-    progression of u = lcm(t, g * q, 2), which is taken in turn, and
-    gcd(n, u) >= g * q; along such steps g rises to G, where the pass
-    decides p.  A progression with fewer than _FEW_CANDIDATES primes,
-    or whose a^g - 1 could exceed _MOD_PASS_BITS bits, is not passed or
-    split: its primes not found elsewhere take the a^gcd(n, p - 1) mod p
-    test, which decides them, and so every progression inside it.  (For
-    p = 2, in the progression of t = 1, a^g - 1 is even iff a is odd,
-    which is right: ell_2 = 1.)"""
-    moduli = []  # of the progressions still to take, each once
-    stopped = []  # the primes of the slices that stop below Y
-    product = 1  # of their a^d - 1
-    for d, L in slices:
-        if L == Y:
-            moduli.append(d if d == 1 else math.lcm(d, 2))
-        else:
-            stopped += _progression(d, L, primes, mark)
-            product *= L
-    hits = set(compress(stopped, map(not_, map(product.__mod__, stopped))))
-    rest: set[int] = set()  # the primes of the progressions left to the pow test
-    seen = set(moduli)
-    g_max = _MOD_PASS_BITS / math.log2(a)
-    while moduli:
-        t = moduli.pop()
-        candidates = _progression(t, Y, primes, mark)
-        g = math.gcd(n, t)
-        if len(candidates) < _FEW_CANDIDATES or g > g_max:
-            rest.update(candidates)
-            continue
-        hits.update(compress(candidates, map(not_, map((a**g - 1).__mod__, candidates))))
-        for q in qs:
-            if n % (g * q) == 0:
-                u = math.lcm(t, g * q, 2)
-                if u < Y and u not in seen:
-                    seen.add(u)
-                    moduli.append(u)
-    if rest:
-        hits.update(_pow_test(a, n, rest - hits))
-    return hits
-
-
 def smooth_part_of_term(seq: SequenceSpec, n: int, y: int) -> Factorization:
     """The factors of s_y(a^n - 1), assembled prime by prime.
 
-    A prime p <= Y = min(y, a^n - 1) contributes exactly when
-    a^gcd(n, p - 1) = 1 mod p: for p not dividing the base, p divides
-    a^n - 1 iff its order ell_p divides n, and ell_p divides p - 1.  The
-    residue is 0 when p divides the base and a mod 2 for p = 2, so no
-    prime needs a second test.  The exponent of each prime found is
-    lifted against p^2, p^3, ... as in term_valuation_direct.
+    A prime p <= Y = min(y, a^n - 1) not dividing the base divides
+    a^n - 1 iff its order d = ell_p divides n.  Then p = 1 mod d, so
+    d < p <= Y, and p divides a^d - 1, so p <= a^d - 1.  Hence each such
+    p turns up in the pass of its own d: over the primes p = 1 mod
+    lcm(d, 2) up to min(Y, a^d - 1) (every prime up to a - 1 for d = 1,
+    p = 2 included), keeping those that divide a^d - 1.  A pass claims
+    no false hit, as p | a^d - 1 and d | n give p | a^n - 1, and a prime
+    of the base never divides a^d - 1.  Where n is even, the pass of an
+    odd d > 1 is left out: the pass of 2d runs over the same progression,
+    at least as far (none of it lies below Y if 2d >= Y), and a^d - 1
+    divides a^(2d) - 1.  Each pass is one C-level (a^d - 1) mod p over
+    its progression, or pow(a, d, p) where a^d - 1 would pass
+    _MOD_PASS_BITS bits.  The divisors come from trial division of n
+    below Y (see _divisor_passes).
 
-    Only candidates are tested, and they miss no such p: p = 1 mod ell_p
-    and p <= a^ell_p - 1, so p lies in one of _slices' progressions over
-    the divisors of n.  _slice_hits decides them with C-level passes of
-    (a^g - 1) mod p instead of one gcd and one pow per prime.  The pass
-    for a divisor g of n dividing gcd(n, p - 1) is exact: ell_p | n
-    iff ell_p | gcd(n, p - 1), so where gcd(n, p - 1) = g, p | a^n - 1
-    iff p | a^g - 1, and p | a^g - 1 implies p | a^n - 1 for every p.
-    The candidates with gcd(n, p - 1) > g all lie in sub-progressions
-    p = 1 mod lcm(t, g * q, 2), q a prime of n, which take passes of
-    their own (see _slice_hits).  When _slices estimates that the route
-    would visit _SLICE_SHARE times the primes <= Y or more, as at a
-    highly composite n, every prime <= Y takes the a^gcd(n, p - 1) test
-    instead.
+    When the passes are estimated to visit _SLICE_SHARE times the
+    primes <= Y or more, as at a highly composite n, every prime p <= Y
+    takes one test instead: p divides a^n - 1 iff
+    a^gcd(n, p - 1) = 1 mod p, as ell_p divides p - 1 (the residue is 0
+    where p divides the base, and a mod 2 for p = 2).  The exponent of
+    each prime found is lifted against p^2, p^3, ... as in
+    term_valuation_direct.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -333,9 +253,17 @@ def smooth_part_of_term(seq: SequenceSpec, n: int, y: int) -> Factorization:
     Y = _scan_limit(a, n, y)
     _, primes, mark = _shared_sieve(Y)
     count = bisect_right(primes, Y)
-    slices, visits, qs = _slices(a, n, Y, primes)
+    passes, visits = _divisor_passes(a, n, Y, primes)
     if visits < _SLICE_SHARE * count:
-        hits = sorted(_slice_hits(a, n, Y, slices, qs, primes, mark))
+        d_max = _MOD_PASS_BITS / math.log2(a)
+        found = set()
+        for d, L in passes:
+            candidates = _progression(d, L, primes, mark)
+            if d > d_max:
+                found.update(p for p in candidates if pow(a, d, p) == 1)
+            else:
+                found.update(compress(candidates, map(not_, map((a**d - 1).__mod__, candidates))))
+        hits = sorted(found)
     else:
         hits = _pow_test(a, n, islice(primes, count))
     return Factorization(tuple((p, _lift(a, n, p)) for p in hits))

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .arith import valuation
 from .bounds import density_bound
-from .orders import SequenceSpec, order_columns, order_record, term_valuation_direct
+from .orders import SequenceSpec, _valuation_direct, order_columns, order_record
 from .smooth import CutoffSpec, _decide, _threshold_base, enumerate_members, smooth_part_of_term
 
 
@@ -94,10 +94,10 @@ def prime_window_valuation_sum(seq: SequenceSpec, p: int, N: int) -> tuple[int, 
     """Sum of v_p(a^n - 1) over the window, both directly and via the
     order data (_lte_window_sum).  The two must agree exactly.
     """
-    ell, o = order_record(seq, p)
     if N < 1:
         raise ValueError("N must be >= 1")
-    direct = sum(term_valuation_direct(seq, n, p) for n in _window(N))
+    ell, o = order_record(seq, p)  # raises unless p is a prime coprime to the base
+    direct = sum(_valuation_direct(seq.base, n, p) for n in _window(N))
     return direct, _lte_window_sum(seq, p, ell, o, N)
 
 

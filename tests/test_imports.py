@@ -4,6 +4,9 @@ No linter ships with the project, so this walks each module's syntax
 tree instead.  __init__.py is left out: its imports are the package's
 public names.  __future__ imports are exempt.
 
+Every private module-level function or constant of the package is read
+somewhere in src/ or tests/, so a rewrite leaves no dead helper behind.
+
 No library module imports mpmath at import time either.  Only the
 50-digit mode of bounds uses it, and importing it costs a process about
 30 ms and 4 MB, so it is imported where it is used.
@@ -43,6 +46,51 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """Private names that source binds at module level by def or by
+    assignment: its helper functions and constants."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    """Names that source loads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_finds_a_dead_private_name():
+    source = (
+        "import os\n_LIMIT: int = 3\n_seen = {}\n__all__ = []\nPUBLIC = 1\n"
+        "def _helper():\n    return _LIMIT\n"
+        "def _dead(x):\n    _seen[x] = x\n"
+        "class _Kept:\n    pass\n"
+    )
+    assert private_definitions(source) == ["_LIMIT", "_seen", "_helper", "_dead"]
+    read = names_read(source) | names_read("from m import _helper\nm._seen\n_helper()\n")
+    assert [name for name in private_definitions(source) if name not in read] == ["_dead"]
+
+
+def test_every_private_name_is_read():
+    readers = [*PACKAGE.parent.rglob("*.py"), *Path(__file__).parent.rglob("*.py")]
+    read = set().union(*(names_read(path.read_text()) for path in readers))
+    dead = [f"{path.name}: {name}" for path in MODULES + [PACKAGE / "__init__.py"]
+            for name in private_definitions(path.read_text()) if name not in read]
+    assert dead == []
 
 
 def imported_at_import_time(source: str) -> set[str]:

@@ -303,8 +303,9 @@ class TestOrderRecordsBatch:
             return wrapper
 
         for name in ("is_prime", "factorize"):
-            assert not hasattr(orders, name)
-            monkeypatch.setattr(arith, name, counted(name, getattr(arith, name)))
+            for module in (arith, orders):  # orders binds is_prime for its valuations
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         monkeypatch.setattr(orders, "_tables", {})
         seq = SequenceSpec(7)
         assert len(order_columns(seq, 5000)[0]) == len(sieve_primes(5000)) - 1
@@ -324,6 +325,13 @@ class TestTermValuations:
         assert term_valuation_lte(SequenceSpec(2), 6, 3) == 2
         assert term_valuation_lte(SequenceSpec(3), 4, 2) == 4
         assert term_valuation_lte(SequenceSpec(3), 5, 2) == 1
+
+    @pytest.mark.parametrize("p", [1, 9, 91])
+    def test_both_routes_reject_a_non_prime_p(self, p):
+        # 1 divides the base 10, 9 and 91 are composites coprime to it
+        for route in (term_valuation_direct, term_valuation_lte):
+            with pytest.raises(ValueError, match="not prime"):
+                route(SequenceSpec(10), 1, p)
 
     def test_triple_equality_small(self):
         for a in (2, 3, 12):

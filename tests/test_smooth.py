@@ -16,9 +16,8 @@ from smoothlab.smooth import (
     _MOD_PASS_BITS,
     _SLICE_SHARE,
     CutoffSpec,
+    _divisor_passes,
     _integer_root,
-    _slice_hits,
-    _slices,
     counting_report,
     enumerate_members,
     membership,
@@ -69,13 +68,11 @@ class TestCutoffSpec:
             assert values == sorted(values)
 
 
-def slice_plan(a, n, Y):
-    """The primes smooth_part_of_term's slice route finds at the scan
-    limit Y, ascending, taken whichever route its estimate picks, with
-    that estimate and pi(Y)."""
-    _, primes, mark = _shared_sieve(Y)
-    slices, visits, qs = _slices(a, n, Y, primes)
-    return sorted(_slice_hits(a, n, Y, slices, qs, primes, mark)), visits, bisect_right(primes, Y)
+def route_estimate(a, n, Y):
+    """_divisor_passes' estimate of the primes smooth_part_of_term's
+    passes visit at the scan limit Y, and pi(Y)."""
+    _, primes, _ = _shared_sieve(Y)
+    return _divisor_passes(a, n, Y, primes)[1], bisect_right(primes, Y)
 
 
 class TestSmoothPartOfTerm:
@@ -150,27 +147,28 @@ class TestSmoothPartOfTerm:
     @example(a=31, n=1, Y=100)  # n = 1: only the primes of a - 1 = 30 divide the term
     @example(a=2, n=26, Y=2**13 - 1)  # Y = a^d - 1 for d = 13, itself the prime 8191
     @example(a=2, n=26, Y=2**13 - 2)
-    @example(a=2, n=26, Y=2**13)  # the slice of d = 13 stops at a^d - 1 = Y - 1
+    @example(a=2, n=26, Y=2**13)  # 8191 has the odd order 13: the pass of 26 finds it
     @example(a=2, n=8, Y=100)  # 17 has order 8 = 4 * 2, 4 the largest d | n with 2^d <= Y
-    @example(a=40, n=6, Y=39)  # a - 1 >= Y: the one slice is d = 1
+    @example(a=40, n=6, Y=39)  # a - 1 >= Y: the pass of d = 1 runs to Y
     @example(a=3, n=2, Y=2)  # p = 2 at an odd base
     @example(a=2, n=199999, Y=3 * 10**5)  # a prime n
-    @example(a=2, n=500000, Y=3 * 10**5)  # 2^5 * 5^6: large sub-progressions
-    @example(a=7, n=500000, Y=3 * 10**5)
-    @example(a=10, n=977899, Y=3 * 10**5)  # 13 * 75223: one pass decides the slice of 13
-    @example(a=2, n=2**18, Y=3 * 10**5)  # 2^g - 1 past the bit cap from g = 2^11 on
-    @example(a=1 + 3**300, n=720720, Y=10**5)  # a^g - 1 past the cap from g = 4 on
+    @example(a=2, n=500000, Y=3 * 10**5)  # 2^5 * 5^6: many passes that run to Y
+    @example(a=7, n=500000, Y=3 * 10**5)  # p = 2 at an odd base, with 2d | n for every odd d
+    @example(a=10, n=977899, Y=3 * 10**5)  # 13 * 75223: the passes of 13 and 75223 run to Y
+    @example(a=2, n=2**18, Y=3 * 10**5)  # 2^d - 1 past the bit cap from d = 2^11 on
+    @example(a=1 + 3**300, n=720720, Y=10**5)  # a^d - 1 past the cap from d = 3 on
     @settings(max_examples=60)
-    def test_slice_hits_are_the_primes_of_the_term(self, a, n, Y):
-        # the slice route at any estimate, dense n included, against the
-        # oracle's own scan of every prime <= Y
-        hits, _, _ = slice_plan(a, n, Y)
-        assert hits == [p for p, _ in smooth_part_by_pow(a, n, Y)]
+    def test_divisor_passes_find_the_primes_of_the_term(self, a, n, Y):
+        # the per-divisor route at any estimate, dense n included, against
+        # the oracle's own scan of every prime <= Y
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(smooth, "_SLICE_SHARE", math.inf)
+            assert smooth_part_of_term(SequenceSpec(a), n, Y) == smooth_part_by_pow(a, n, Y)
 
     @pytest.mark.parametrize("a, n, Y", [(2, 2**18, 3 * 10**5), (1 + 3**300, 720720, 10**5)])
     def test_bit_cap_examples_reach_the_cap(self, monkeypatch, a, n, Y):
-        # the two @examples above take a progression of at least
-        # _FEW_CANDIDATES primes whose a^g - 1 passes the bit cap
+        # the two @examples above take a pass with candidates whose
+        # a^d - 1 passes the bit cap, which tests them by pow(a, d, p)
         taken = []
         progression = smooth._progression
 
@@ -180,22 +178,33 @@ class TestSmoothPartOfTerm:
             return found
 
         monkeypatch.setattr(smooth, "_progression", recording)
-        slice_plan(a, n, Y)
-        assert any(math.gcd(n, t) * math.log2(a) > _MOD_PASS_BITS and size >= _FEW_CANDIDATES
-                   for t, size in taken)
+        monkeypatch.setattr(smooth, "_SLICE_SHARE", math.inf)
+        smooth_part_of_term(SequenceSpec(a), n, Y)
+        assert any(d * math.log2(a) > _MOD_PASS_BITS and size > 0 for d, size in taken)
 
     def test_prime_n_has_few_candidates(self):
-        # every prime of 2^n - 1 is 1 mod n, so none lies below Y = n
-        hits, visits, count = slice_plan(2, 999983, 999983)
-        assert hits == []
+        # every prime of 2^n - 1 is 1 mod n, so none lies below Y = n:
+        # the one pass, of d = 1, stops at a - 1 = 1
+        visits, count = route_estimate(2, 999983, 999983)
         assert visits < count / 100 < _SLICE_SHARE * count
+        assert smooth_part_of_term(SequenceSpec(2), 999983, 999983).entries == ()
 
     @pytest.mark.parametrize("a, n", [(10, 720720), (1 + 3**300, 5040)])
     def test_dense_terms_scan_every_prime(self, a, n):
         # nearly every prime <= n is 1 mod some divisor of n, or the
-        # base exceeds Y so that d = 1 reaches Y
-        _, visits, count = slice_plan(a, n, n)
+        # base exceeds Y so that the pass of d = 1 runs to Y
+        visits, count = route_estimate(a, n, n)
         assert visits >= _SLICE_SHARE * count
+
+    def test_dense_n_stops_listing_its_divisors(self):
+        # lcm(1..100) has tens of thousands of divisors below 10^6; the
+        # list stops at the pass that brings the estimate to the full
+        # scan's share, and each pass counts at least _FEW_CANDIDATES
+        _, primes, _ = _shared_sieve(10**6)
+        passes, visits = _divisor_passes(2, math.lcm(*range(1, 101)), 10**6, primes)
+        limit = _SLICE_SHARE * bisect_right(primes, 10**6)
+        assert visits >= limit
+        assert (len(passes) - 1) * _FEW_CANDIDATES < limit
 
     def test_prime_n_near_2_to_the_100(self):
         # only n's prime factors below Y are sought, by trial division

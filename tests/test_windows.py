@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smoothlab import orders
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.bounds import default_y, density_bound, stewart_bound
 from smoothlab.orders import SequenceSpec, order_columns, term_valuation_direct
@@ -77,6 +78,23 @@ class TestPrimeWindowValuationSum:
         assert prime_window_valuation_sum(seq, 3, 4) == (1, 1)
         assert prime_window_valuation_sum(seq, 5, 8) == (1, 1)
         assert prime_window_valuation_sum(seq, 3, 2) == (1, 1)
+
+    def test_window_takes_no_prime_test_per_n(self, monkeypatch):
+        # term_valuation_direct tests its p on every call; the window's
+        # p is checked once, by its order record
+        calls = []
+        is_prime = orders.is_prime
+        monkeypatch.setattr(orders, "is_prime", lambda m: calls.append(m) or is_prime(m))
+        direct, formula = prime_window_valuation_sum(SequenceSpec(2), 7, 1000)
+        assert direct == formula > 0
+        assert calls == []
+
+    def test_rejects_empty_window_before_building_the_table(self):
+        # the order table of base 97 would first grow past p = 100003
+        tables = dict(orders._tables)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            prime_window_valuation_sum(SequenceSpec(97), 100003, 0)
+        assert orders._tables == tables
 
     def test_rejects_two_and_dividing(self):
         # p = 2 is rejected only where it divides the base

@@ -13,8 +13,8 @@ from itertools import compress, islice
 from operator import not_
 from typing import NamedTuple
 
-from .arith import SIEVE_MAX, Factorization, _shared_sieve, divisors, primes_upto
-from .orders import SequenceSpec, _lift, order_columns
+from .arith import SIEVE_MAX, Factorization, _shared_sieve, factorize, primes_upto
+from .orders import SequenceSpec, _lift
 
 # Relative width of the band around the threshold inside which the
 # membership decision is re-made in exact integer arithmetic.
@@ -221,19 +221,19 @@ def _progression(t: int, L: int, primes: list[int], mark: bytearray) -> list[int
     return list(compress(range(s + 1, L + 1, s), mark[s + 1 : L + 1 : s]))
 
 
-def smooth_part_of_term(seq: SequenceSpec, n: int, y: int) -> Factorization:
-    """The factors of s_y(a^n - 1), assembled prime by prime.
+def _term_primes(a: int, n: int, Y: int) -> list[int]:
+    """The primes p <= Y dividing a^n - 1, ascending.
 
-    A prime p <= Y = min(y, a^n - 1) not dividing the base divides
-    a^n - 1 iff its order d = ell_p divides n.  Then p = 1 mod d, so
-    d < p <= Y, and p divides a^d - 1, so p <= a^d - 1.  Hence each such
-    p turns up in the pass of its own d: over the primes p = 1 mod
-    lcm(d, 2) up to min(Y, a^d - 1) (every prime up to a - 1 for d = 1,
-    p = 2 included), keeping those that divide a^d - 1.  A pass claims
-    no false hit, as p | a^d - 1 and d | n give p | a^n - 1, and a prime
-    of the base never divides a^d - 1.  Where n is even, the pass of an
-    odd d > 1 is left out: the pass of 2d runs over the same progression,
-    at least as far (none of it lies below Y if 2d >= Y), and a^d - 1
+    A prime p not dividing the base divides a^n - 1 iff its order
+    d = ell_p divides n.  Then p = 1 mod d, so d < p <= Y, and p divides
+    a^d - 1, so p <= a^d - 1.  Hence each such p turns up in the pass of
+    its own d: over the primes p = 1 mod lcm(d, 2) up to
+    min(Y, a^d - 1) (every prime up to a - 1 for d = 1, p = 2
+    included), keeping those that divide a^d - 1.  A pass claims no
+    false hit, as p | a^d - 1 and d | n give p | a^n - 1, and a prime of
+    the base never divides a^d - 1.  Where n is even, the pass of an odd
+    d > 1 is left out: the pass of 2d runs over the same progression, at
+    least as far (none of it lies below Y if 2d >= Y), and a^d - 1
     divides a^(2d) - 1.  Each pass is one C-level (a^d - 1) mod p over
     its progression, or pow(a, d, p) where a^d - 1 would pass
     _MOD_PASS_BITS bits.  The divisors come from trial division of n
@@ -243,29 +243,34 @@ def smooth_part_of_term(seq: SequenceSpec, n: int, y: int) -> Factorization:
     primes <= Y or more, as at a highly composite n, every prime p <= Y
     takes one test instead: p divides a^n - 1 iff
     a^gcd(n, p - 1) = 1 mod p, as ell_p divides p - 1 (the residue is 0
-    where p divides the base, and a mod 2 for p = 2).  The exponent of
-    each prime found is lifted against p^2, p^3, ... as in
-    term_valuation_direct.
+    where p divides the base, and a mod 2 for p = 2).
+    """
+    _, primes, mark = _shared_sieve(Y)
+    count = bisect_right(primes, Y)
+    passes, visits = _divisor_passes(a, n, Y, primes)
+    if visits >= _SLICE_SHARE * count:
+        return _pow_test(a, n, islice(primes, count))
+    d_max = _MOD_PASS_BITS / math.log2(a)
+    found = set()
+    for d, L in passes:
+        candidates = _progression(d, L, primes, mark)
+        if d > d_max:
+            found.update(p for p in candidates if pow(a, d, p) == 1)
+        else:
+            found.update(compress(candidates, map(not_, map((a**d - 1).__mod__, candidates))))
+    return sorted(found)
+
+
+def smooth_part_of_term(seq: SequenceSpec, n: int, y: int) -> Factorization:
+    """The factors of s_y(a^n - 1), assembled prime by prime: the primes
+    p <= min(y, a^n - 1) dividing a^n - 1 come from _term_primes'
+    per-divisor passes, and the exponent of each is lifted against p^2,
+    p^3, ... as in term_valuation_direct.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a = seq.base
-    Y = _scan_limit(a, n, y)
-    _, primes, mark = _shared_sieve(Y)
-    count = bisect_right(primes, Y)
-    passes, visits = _divisor_passes(a, n, Y, primes)
-    if visits < _SLICE_SHARE * count:
-        d_max = _MOD_PASS_BITS / math.log2(a)
-        found = set()
-        for d, L in passes:
-            candidates = _progression(d, L, primes, mark)
-            if d > d_max:
-                found.update(p for p in candidates if pow(a, d, p) == 1)
-            else:
-                found.update(compress(candidates, map(not_, map((a**d - 1).__mod__, candidates))))
-        hits = sorted(found)
-    else:
-        hits = _pow_test(a, n, islice(primes, count))
+    hits = _term_primes(a, n, _scan_limit(a, n, y))
     return Factorization(tuple((p, _lift(a, n, p)) for p in hits))
 
 
@@ -329,27 +334,63 @@ class CountingReport(NamedTuple):
     records: list[tuple[int, int, int]]  # (p, ell, o) of the primes counted, ascending
 
 
+def _divisors_upto(factors: tuple[tuple[int, int], ...], y: int):
+    """Yield the divisors d <= y of the number with these ascending
+    (prime, exponent) pairs, unordered, by a depth-first walk that drops
+    a branch as soon as its next factor passes y; its stack holds only
+    the branches pending along one path."""
+    stack = [(1, 0)]
+    while stack:
+        d, i = stack.pop()
+        yield d
+        for j in range(i, len(factors)):
+            q, k = factors[j]
+            m = d * q
+            if m > y:
+                break  # and so for every larger prime
+            for _ in range(k):
+                stack.append((m, j + 1))
+                m *= q
+                if m > y:
+                    break
+
+
 def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
     """Count primes p <= floor(Kn) with order dividing n and certify the
     per-divisor ceiling.
+
+    Those are the primes p <= floor(Kn) dividing a^n - 1, so they are
+    found by smooth_part_of_term's passes (_term_primes), without the
+    base's order table.  For each, ell_p divides g = gcd(n, p - 1): each
+    prime q of n is stripped from e = g while a^(e/q) = 1 mod p, which
+    leaves ell_p, and o_p = v_p(a^ell_p - 1) is lifted as in the table.
 
     Each divisor d of n contributes primes with order exactly d; these
     are = 1 mod d (at most floor(Kn/d) + 1 of them below the cutoff) and
     divide a^d - 1 (at most floor(d*log2 a) = bits(a^d) - 1 distinct
     primes).  Since floor(d*log2 a) >= d, a^d is built only when
-    floor(Kn/d) + 1 > d.
+    floor(Kn/d) + 1 > d; so each of the tau(n) - #{d <= Kn} divisors
+    d > Kn adds exactly 1, and only the divisors d <= Kn are walked.
     """
     K = Fraction(K)
     y = CutoffSpec.linear(K).value_at(n)
-    records = [(p, ell, o) for p, ell, o in zip(*order_columns(seq, y)) if n % ell == 0]
-    log_sum = math.fsum(math.log(p) for p, _, _ in records)
     a = seq.base
-    bound = 0
-    for d in divisors(n):
+    hits = _term_primes(a, n, _scan_limit(a, n, y))
+    factors = factorize(n)
+    records = []
+    for p in hits:
+        e = math.gcd(n, p - 1)
+        for q, _ in factors:
+            while e % q == 0 and pow(a, e // q, p) == 1:
+                e //= q
+        records.append((p, e, _lift(a, e, p)))
+    log_sum = math.fsum(math.log(p) for p in hits)
+    bound = math.prod(k + 1 for _, k in factors)
+    for d in _divisors_upto(factors.entries, y):
         count = y // d + 1
         if count > d:
             count = min(count, (a**d).bit_length() - 1)
-        bound += count
+        bound += count - 1
     # float(K) underflows to 0 only where K*n < 2 (for n within a double),
     # which leaves no records
     normalized = log_sum / math.sqrt(float(K) * n) if records else 0.0

@@ -72,6 +72,11 @@ COMMANDS = [f"{cmd} --format {fmt}" for cmd in _BOTH_FORMATS for fmt in ("json",
     # over every record, so one wrong record changes its bytes
     *(f"dyadic --base {b} --N 100000 --K 1" for b in (2, 3, 5, 6, 7, 10)),
     "snk --base 3 --n 360360 --K 1 --format csv",
+    # snk records found by the single-term passes, checked against the
+    # order table's rows with ell | n when these were recorded
+    "snk --base 2 --n 6126120 --K 1 --format csv",
+    "snk --base 10 --n 720720 --K 3/2",
+    f"snk --base {BIG3} --n 5040 --K 1 --format csv",
 ]
 
 

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import json
 import math
 import time
@@ -413,6 +414,15 @@ def test_every_subcommand_output_is_pinned(runner, entry):
     result = runner.invoke(main, entry["command"].split())
     assert result.exit_code == 0, result.output
     assert result.stdout == entry["stdout"]
+
+
+def test_recorder_lists_exactly_the_pinned_commands():
+    # test_every_subcommand_output_is_pinned runs the recorded file, so a
+    # command appended to the recorder but never recorded would never run
+    spec = importlib.util.spec_from_file_location("record_cli_outputs", DATA / "record_cli_outputs.py")
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    assert [entry["command"] for entry in PINNED] == recorder.COMMANDS
 
 
 def test_tiny_K_snk_has_no_primes(runner):

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothlab.arith import _shared_sieve, primes_upto, smooth_part_oracle
-from smoothlab.orders import SequenceSpec, term_valuation_direct
-from smoothlab import smooth
+from smoothlab.arith import _shared_sieve, divisors, primes_upto, smooth_part_oracle
+from smoothlab.orders import SequenceSpec, order_columns, term_valuation_direct
+from smoothlab import orders, smooth
 from smoothlab.smooth import (
     _FEW_CANDIDATES,
     _MOD_PASS_BITS,
@@ -363,3 +364,69 @@ class TestCountingReport:
         y = 10**5
         want = sum(min(y // d + 1, d) for d in (2**i * 5**j for i in range(17) for j in range(17)))
         assert counting_report(SequenceSpec(2), K, n).bound == want
+
+    def test_bound_at_dense_n(self):
+        # lcm(1..40) has 36,864 divisors, each listed here; the report
+        # walks only those up to y
+        n = math.lcm(*range(1, 41))
+        for a in (2, 3, 10):
+            for y in (1, 1000, 123457, 10**6):
+                want = 0
+                for d in divisors(n):
+                    count = y // d + 1
+                    if count > d:
+                        count = min(count, (a**d).bit_length() - 1)
+                    want += count
+                assert counting_report(SequenceSpec(a), Fraction(y, n), n).bound == want
+
+    def test_bound_at_lcm_100_lists_no_divisor_above_y(self):
+        # lcm(1..100) has about 6.6e8 divisors; listing them all runs out
+        # of memory.  Those up to y = 1000 are found here by trial.
+        n = math.lcm(*range(1, 101))
+        y = 1000
+        K = Fraction(y, n)
+        tau = math.prod(max(k for k in range(8) if p**k <= 100) + 1 for p in primes_upto(100))
+        small = [d for d in range(1, y + 1) if n % d == 0]
+        want = tau - len(small) + sum(min(y // d + 1, d) for d in small)
+        counting_report(SequenceSpec(2), K, n)  # sieve and factoring tables warm
+        tracemalloc.start()
+        try:
+            rep = counting_report(SequenceSpec(2), K, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.bound == want
+        assert peak < 2**20
+
+
+class TestCountingReportAgainstTable:
+    """The records come from the single-term passes; the order table's
+    rows with ell | n are the other route to them."""
+
+    def test_records_match_table_rows(self):
+        for a in (2, 3, 5, 6, 7, 10):
+            seq = SequenceSpec(a)
+            rows = list(zip(*order_columns(seq, 720720)))
+            for n in (360360, 720720):
+                want = [r for r in rows if r[0] <= n and n % r[1] == 0]
+                assert counting_report(seq, 1, n).records == want
+
+    @given(
+        a=st.integers(min_value=2, max_value=40),
+        n=st.integers(min_value=1, max_value=5 * 10**4),
+        K=st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8),
+    )
+    @example(a=2, n=5 * 10**4, K=Fraction(2))
+    @example(a=3, n=45360, K=Fraction(1, 8))
+    @settings(max_examples=40)
+    def test_records_match_table_rows_property(self, a, n, K):
+        seq = SequenceSpec(a)
+        y = CutoffSpec.linear(K).value_at(n)
+        want = [r for r in zip(*order_columns(seq, y)) if n % r[1] == 0]
+        assert counting_report(seq, K, n).records == want
+
+    def test_builds_no_order_table(self):
+        tables = dict(orders._tables)
+        rep = counting_report(SequenceSpec(97), 1, 100800)
+        assert rep.prime_count > 0
+        assert orders._tables == tables

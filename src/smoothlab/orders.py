@@ -2,22 +2,25 @@
 valuations, and two independent routes to v_p(a^n - 1) that never build
 a^n - 1 itself.
 
-A base's records come from one table pass over the sieved primes.  By
-lifting the exponent, o_p = v_p(a^(p-1) - 1), so one power of a mod p^2
-per prime settles both the 2-part of ell_p and whether o_p >= 2; only
-the odd part of p - 1 is factored, for the rest of ell_p, and only the
+The records (p, ell_p, o_p) come by two routes, and nothing is kept
+between calls.  order_columns builds the columns of every prime up to a
+cutoff in one pass over the sieved primes: by lifting the exponent,
+o_p = v_p(a^(p-1) - 1), so one power of a mod p^2 per prime settles
+both the 2-part of ell_p and whether o_p >= 2; only the odd part of
+p - 1 is factored, off one smallest-prime-factor array, and only the
 rare o_p >= 2 (base-a Wieferich primes) is lifted further.
+order_record answers one prime from p - 1 alone: _record strips the
+primes of a multiple of ell_p, here p - 1, while a stays 1 mod p, then
+lifts.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
 
-from .arith import SIEVE_MAX, is_prime, primes_upto, smallest_prime_factors, valuation
+from .arith import _check_cutoff, factorize, is_prime, primes_upto, smallest_prime_factors, valuation
 
 
 @dataclass(frozen=True)
@@ -30,15 +33,6 @@ class SequenceSpec:
         if self.base < 2:
             raise ValueError("base must be an integer >= 2")
 
-
-# base -> (limit, ps, ells, os): the triple (p, ell, o) = (ps[i], ells[i],
-# os[i]) of every prime p <= limit not dividing the base, ell its order
-# and o = v_p(base^ell - 1), as ascending parallel array("I") columns.
-# Only _table writes here, and only by swapping in a whole new tuple for a
-# higher limit; no column is changed in place.
-_tables: dict[int, tuple[int, array, array, array]] = {}
-
-_EMPTY_TABLE = (1, array("I"), array("I"), array("I"))
 
 # Largest o an array("I") column holds.  p^o divides a^ell - 1, so
 # o < ell * log2(a) / log2(p): a base of fewer than 2^32 / (p - 1) bits
@@ -57,87 +51,77 @@ def _lift(a: int, k: int, p: int) -> int:
     return o
 
 
-def _table(a: int, y: int, geometric: bool = False) -> tuple[array, array, array]:
-    """Base a's columns (ps, ells, os), first grown to cover y in one
-    pass over the new sieved primes p.  With p - 1 = 2^v m, m odd, one
-    power w = a^m mod p^2 gives both the 2-part of the order and the
-    lift: ell_p's odd part divides m, so w squared j times turns 1 mod p
-    at j = v_2(ell_p), and o_p >= 2 exactly when that power is 1 mod p^2.
-    The odd part of ell_p is the order of b = a^(2^v) mod p: each prime q
-    of m, read off one smallest-prime-factor array of the odd parts, is
-    stripped from e = m while b^(e/q) stays 1 mod p.  Only an o_p >= 2 is
-    lifted further, to its exact value.
-
-    The new range's columns are built apart and the table is swapped in
-    whole as one (limit, ps, ells, os) tuple of concatenated arrays, so an
-    interrupted pass leaves the old table as it was.  A grown table stops
-    at y, unless geometric: then, like the prime sieve, it reaches at
-    least twice its old limit (up to SIEVE_MAX), so ascending single
-    lookups rebuild the arrays O(log y) times; a first build stops at y
-    either way.  Raises ValueError for an o above _O_MAX."""
-    limit, ps, ells, os = _tables.get(a, _EMPTY_TABLE)
-    if y > limit:
-        if geometric:
-            y = max(y, min(2 * limit, SIEVE_MAX))
-        primes = primes_upto(y)
-        new = array("I", filter(a.__mod__, islice(primes, bisect_right(primes, limit), None)))
-        new_ells, new_os = array("I"), array("I")
-        if new:
-            spf = smallest_prime_factors((new[-1] - 1) // 2)
-            for p in new:
-                v = ((p - 1) & (1 - p)).bit_length() - 1
-                e = m = (p - 1) >> v
-                p2 = p * p
-                w = pow(a, m, p2)
-                j = 0
-                while w % p != 1:
-                    w = w * w % p2
-                    j += 1
-                # w = 1 + kp now, and for odd p its 2^i-th power is
-                # 1 + 2^i kp mod p^2 (p = 2 has v = 0): so a^(p-1) = 1
-                # mod p^2, that is o_p = v_p(a^(p-1) - 1) >= 2, iff w == 1
-                b = pow(a, 1 << v, p)
-                while m > 1:
-                    q = spf[m] or m  # 0 marks a prime m
-                    while m % q == 0:
-                        m //= q
-                    while e % q == 0 and pow(b, e // q, p) == 1:
-                        e //= q
-                e <<= j
-                o = 1
-                if w == 1:
-                    o = _lift(a, e, p)
-                    if o > _O_MAX:
-                        raise ValueError(f"o_{p} = {o} exceeds {_O_MAX}, the most the order table holds")
-                new_ells.append(e)
-                new_os.append(o)
-        ps, ells, os = ps + new, ells + new_ells, os + new_os
-        _tables[a] = (y, ps, ells, os)
-    return ps, ells, os
+def _record(a: int, p: int, m: int, primes_of_m) -> tuple[int, int]:
+    """(ell, o) of a prime p not dividing a, from a multiple m of ell_p
+    and an iterable holding every prime of m (others are skipped): each
+    prime q is stripped from e = m while a^(e/q) = 1 mod p, which leaves
+    ell_p, and o = v_p(a^ell - 1) is lifted."""
+    e = m
+    for q in primes_of_m:
+        while e % q == 0 and pow(a, e // q, p) == 1:
+            e //= q
+    return e, _lift(a, e, p)
 
 
 def order_columns(seq: SequenceSpec, y: int) -> tuple[array, array, array]:
-    """The columns (ps, ells, os) of the base's table cut at the primes
-    p <= y not dividing the base, ascending: zip them for the (p, ell, o)
-    triples.  The table first grows to exactly y if it stops below."""
-    ps, ells, os = _table(seq.base, y)
-    k = bisect_right(ps, y)
-    return ps[:k], ells[:k], os[:k]
+    """The ascending columns (ps, ells, os) of the primes p <= y not
+    dividing the base: zip them for the (p, ell, o) triples.
+
+    One pass over the sieved primes, kept nowhere.  With p - 1 = 2^v m,
+    m odd, one power w = a^m mod p^2 gives both the 2-part of the order
+    and the lift: ell_p's odd part divides m, so w squared j times turns
+    1 mod p at j = v_2(ell_p), and o_p >= 2 exactly when that power is 1
+    mod p^2.  The odd part of ell_p is the order of b = a^(2^v) mod p:
+    each prime q of m, read off one smallest-prime-factor array of the
+    odd parts, is stripped from e = m while b^(e/q) stays 1 mod p.  Only
+    an o_p >= 2 is lifted further, to its exact value.  Raises
+    ValueError for y above SIEVE_MAX or an o above _O_MAX."""
+    a = seq.base
+    ps = array("I", filter(a.__mod__, primes_upto(y)))
+    ells, os = array("I"), array("I")
+    if ps:
+        spf = smallest_prime_factors((ps[-1] - 1) // 2)
+        for p in ps:
+            v = ((p - 1) & (1 - p)).bit_length() - 1
+            e = m = (p - 1) >> v
+            p2 = p * p
+            w = pow(a, m, p2)
+            j = 0
+            while w % p != 1:
+                w = w * w % p2
+                j += 1
+            # w = 1 + kp now, and for odd p its 2^i-th power is
+            # 1 + 2^i kp mod p^2 (p = 2 has v = 0): so a^(p-1) = 1
+            # mod p^2, that is o_p = v_p(a^(p-1) - 1) >= 2, iff w == 1
+            b = pow(a, 1 << v, p)
+            while m > 1:
+                q = spf[m] or m  # 0 marks a prime m
+                while m % q == 0:
+                    m //= q
+                while e % q == 0 and pow(b, e // q, p) == 1:
+                    e //= q
+            e <<= j
+            o = 1
+            if w == 1:
+                o = _lift(a, e, p)
+                if o > _O_MAX:
+                    raise ValueError(f"o_{p} = {o} exceeds {_O_MAX}, the most an order column holds")
+            ells.append(e)
+            os.append(o)
+    return ps, ells, os
 
 
 def order_record(seq: SequenceSpec, p: int) -> tuple[int, int]:
     """(ell, o) of one prime p: the order of the base mod p and
-    v_p(base^ell - 1), from the base's table.
+    v_p(base^ell - 1), stripped from p - 1 by the primes of p - 1.
 
-    The table first grows past p if it stops below, so one lookup may
-    cost a table build up to max(p, twice the old limit).  Raises
-    ValueError when p is not a prime, divides the base or lies above
-    SIEVE_MAX."""
-    ps, ells, os = _table(seq.base, p, geometric=True)
-    i = bisect_left(ps, p)
-    if i == len(ps) or ps[i] != p:
-        raise ValueError(f"{p} is not a prime coprime to the base {seq.base}")
-    return ells[i], os[i]
+    Raises ValueError when p is not a prime, divides the base or lies
+    above SIEVE_MAX."""
+    a = seq.base
+    _check_cutoff(p)
+    if not is_prime(p) or a % p == 0:
+        raise ValueError(f"{p} is not a prime coprime to the base {a}")
+    return _record(a, p, p - 1, (q for q, _ in factorize(p - 1)))
 
 
 def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:
@@ -170,7 +154,8 @@ def term_valuation_lte(seq: SequenceSpec, n: int, p: int) -> int:
     """v_p(base^n - 1) from the order data alone: o_p + v_p(n) when
     ell_p | n, else 0, and 0 when p divides the base.  For p = 2 (odd
     base, ell_2 = 1) each even n adds v_2(base + 1) - 1 on top.  Raises
-    ValueError for a p that is not prime, as valuation does.
+    ValueError for a p that is not prime, as valuation does, and, as
+    order_record does, for a p coprime to the base above SIEVE_MAX.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -179,7 +164,8 @@ def term_valuation_lte(seq: SequenceSpec, n: int, p: int) -> int:
     a = seq.base
     if a % p == 0:
         return 0
-    ell, o = order_record(seq, p)
+    _check_cutoff(p)
+    ell, o = _record(a, p, p - 1, (q for q, _ in factorize(p - 1)))
     if n % ell != 0:
         return 0
     v = o + valuation(n, p)

@@ -14,7 +14,7 @@ from operator import not_
 from typing import NamedTuple
 
 from .arith import SIEVE_MAX, Factorization, _shared_sieve, factorize, primes_upto
-from .orders import SequenceSpec, _lift
+from .orders import SequenceSpec, _lift, _record
 
 # Relative width of the band around the threshold inside which the
 # membership decision is re-made in exact integer arithmetic.
@@ -361,9 +361,9 @@ def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
 
     Those are the primes p <= floor(Kn) dividing a^n - 1, so they are
     found by smooth_part_of_term's passes (_term_primes), without the
-    base's order table.  For each, ell_p divides g = gcd(n, p - 1): each
-    prime q of n is stripped from e = g while a^(e/q) = 1 mod p, which
-    leaves ell_p, and o_p = v_p(a^ell_p - 1) is lifted as in the table.
+    base's order columns.  For each, ell_p divides gcd(n, p - 1), so
+    orders._record strips the primes of n from it, which leaves ell_p,
+    and lifts o_p = v_p(a^ell_p - 1), as order_record does from p - 1.
 
     Each divisor d of n contributes primes with order exactly d; these
     are = 1 mod d (at most floor(Kn/d) + 1 of them below the cutoff) and
@@ -377,13 +377,8 @@ def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
     a = seq.base
     hits = _term_primes(a, n, _scan_limit(a, n, y))
     factors = factorize(n)
-    records = []
-    for p in hits:
-        e = math.gcd(n, p - 1)
-        for q, _ in factors:
-            while e % q == 0 and pow(a, e // q, p) == 1:
-                e //= q
-        records.append((p, e, _lift(a, e, p)))
+    primes_of_n = [q for q, _ in factors]
+    records = [(p, *_record(a, p, math.gcd(n, p - 1), primes_of_n)) for p in hits]
     log_sum = math.fsum(math.log(p) for p in hits)
     bound = math.prod(k + 1 for _, k in factors)
     for d in _divisors_upto(factors.entries, y):

@@ -1,8 +1,5 @@
 import math
-import random
 import tracemalloc
-from array import array
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,20 +18,12 @@ from smoothlab.orders import (
 from oracles import order_by_enumeration
 
 
-@pytest.fixture
-def empty_memo():
-    """Empty order tables, so each lookup grows its base's table."""
-    with mock.patch.dict(orders._tables, clear=True):
-        yield
-
-
 class TestSequenceSpec:
     def test_rejects_small_base(self):
         with pytest.raises(ValueError):
             SequenceSpec(1)
 
 
-@pytest.mark.usefixtures("empty_memo")
 class TestMultiplicativeOrder:
     def test_examples(self):
         assert order_record(SequenceSpec(5), 3)[0] == 2
@@ -67,7 +56,6 @@ class TestMultiplicativeOrder:
                         assert pow(a, d, p) != 1
 
 
-@pytest.mark.usefixtures("empty_memo")
 class TestInitialValuation:
     def test_examples(self):
         assert order_record(SequenceSpec(2), 3)[1] == 1
@@ -102,15 +90,14 @@ class TestInitialValuation:
             assert valuation(a**ell - 1, p) == o
             records[p] = (ell, o)
             assert order_record(seq, p) == (ell, o)
-        with mock.patch.dict(orders._tables, clear=True):
-            columns = order_columns(seq, 5 * 10**4)
+        columns = order_columns(seq, 5 * 10**4)
         assert {p: (ell, o) for p, ell, o in zip(*columns) if o > 1} == records
 
     @pytest.mark.parametrize("p", [2, 3, 5, 17, 257, 65537, 12289, 40961, 786433])
     def test_two_adic_edges(self, p):
         # the Fermat primes have an odd part m = 1 of p - 1; 12289, 40961
-        # and 786433 have v_2(p - 1) = 12, 13 and 18.  A table that stops
-        # at p - 1 grows by p alone.
+        # and 786433 have v_2(p - 1) = 12, 13 and 18.  Both routes are
+        # checked: p's row of the columns and the single-prime record.
         divisors = sorted({d for k in range(1, math.isqrt(p - 1) + 1) if (p - 1) % k == 0
                            for d in (k, (p - 1) // k)})
         for a in (2, 3, 5, 6, 7, 10):
@@ -120,9 +107,10 @@ class TestInitialValuation:
             o = 1
             while pow(a, ell, p ** (o + 1)) == 1:
                 o += 1
-            seeded = {a: (p - 1, array("I"), array("I"), array("I"))}
-            with mock.patch.dict(orders._tables, seeded):
-                assert list(zip(*order_columns(SequenceSpec(a), p))) == [(p, ell, o)]
+            seq = SequenceSpec(a)
+            ps, ells, os = order_columns(seq, p)
+            assert (ps[-1], ells[-1], os[-1]) == (p, ell, o)
+            assert order_record(seq, p) == (ell, o)
 
 
 class TestOrderRecord:
@@ -150,14 +138,11 @@ class TestOrderRecord:
                 assert o * math.log(p) <= ell * math.log(a)
 
     def test_order_columns_match_order_record(self):
-        # a table grown one prime at a time through order_record against
-        # a one-shot order_columns from another empty table
+        # the one-pass columns against one record per prime from p - 1
         for a in (2, 3, 6, 10, 12):
             seq = SequenceSpec(a)
-            with mock.patch.dict(orders._tables, clear=True):
-                got = [(p, *order_record(seq, p)) for p in sieve_primes(300) if a % p != 0]
-            with mock.patch.dict(orders._tables, clear=True):
-                assert list(zip(*order_columns(seq, 300))) == got
+            got = [(p, *order_record(seq, p)) for p in sieve_primes(300) if a % p != 0]
+            assert list(zip(*order_columns(seq, 300))) == got
         assert list(zip(*order_columns(SequenceSpec(2), 1))) == []
 
     @pytest.mark.parametrize("p", [-3, 0, 1, 4, 91, 3, arith.SIEVE_MAX + 7])
@@ -171,82 +156,49 @@ class TestOrderRecordsBatch:
     @given(
         a=st.integers(min_value=2, max_value=40),
         y=st.integers(min_value=0, max_value=3000),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        one_prime_at_a_time=st.booleans(),
     )
-    @example(a=6, y=3000, seed=0, one_prime_at_a_time=False)
-    @example(a=10, y=3000, seed=1, one_prime_at_a_time=False)
-    @example(a=12, y=3000, seed=2, one_prime_at_a_time=True)
-    @example(a=30, y=3000, seed=3, one_prime_at_a_time=True)
-    @example(a=28, y=3000, seed=4, one_prime_at_a_time=False)  # o_3 = 3, o_19 = o_23 = 2
+    @example(a=6, y=3000)
+    @example(a=10, y=3000)
+    @example(a=12, y=3000)
+    @example(a=30, y=3000)
+    @example(a=28, y=3000)  # o_3 = 3, o_19 = o_23 = 2
     @settings(max_examples=30)
-    def test_against_enumeration_from_grown_table(self, a, y, seed, one_prime_at_a_time):
-        # The table grows either in random cutoff steps (a share of them
-        # on primes, which end a step on its last record) or one prime
-        # at a time; it must equal a one-shot build and the oracle.
+    def test_both_routes_against_enumeration(self, a, y):
+        # the one-pass columns and the per-prime records from p - 1, each
+        # against the order by enumeration and the valuation of a^ell - 1
         seq = SequenceSpec(a)
-        primes = [p for p in sieve_primes(y) if a % p != 0]
         expected = []
-        for p in primes:
-            ell = order_by_enumeration(a, p)
-            expected.append((p, ell, valuation(a**ell - 1, p)))
-        rng = random.Random(seed)
-        with mock.patch.dict(orders._tables, clear=True):
-            if one_prime_at_a_time:
-                for p in primes:
-                    order_record(seq, p)
-            else:
-                steps = sorted(rng.choice([rng.randint(0, y), rng.choice(primes or [0])])
-                               for _ in range(rng.randint(1, 8)))
-                for step in steps:
-                    order_columns(seq, step)
-            grown = list(zip(*order_columns(seq, y)))
-        with mock.patch.dict(orders._tables, clear=True):
-            assert list(zip(*order_columns(seq, y))) == grown
-        assert grown == expected
+        for p in sieve_primes(y):
+            if a % p != 0:
+                ell = order_by_enumeration(a, p)
+                expected.append((p, ell, valuation(a**ell - 1, p)))
+        assert list(zip(*order_columns(seq, y))) == expected
+        assert [(p, *order_record(seq, p)) for p, _, _ in expected] == expected
 
-    def test_ascending_lookups_grow_the_table_geometrically(self, monkeypatch):
-        builds = []
-
-        def counted(limit):
-            builds.append(limit)
-            return arith.smallest_prime_factors(limit)
-
-        monkeypatch.setattr(orders, "smallest_prime_factors", counted)
-        monkeypatch.setattr(orders, "_tables", {})
-        seq = SequenceSpec(3)
-        got = [(p, *order_record(seq, p)) for p in sieve_primes(4 * 10**4) if p != 3]
-        assert len(builds) <= 20
-        assert got == list(zip(*order_columns(seq, 4 * 10**4)))
-
-    def test_batch_read_grows_the_table_to_exactly_y(self, monkeypatch):
-        # a batch read names every prime it needs, so its growth stops at
-        # y: doubling from 999983 would build 1999966 to cover 17 more
-        monkeypatch.setattr(orders, "_tables", {})
-        seq = SequenceSpec(5)
-        order_record(seq, 999983)
-        grown = order_columns(seq, 10**6)
-        assert orders._tables[5][0] == 10**6
-        monkeypatch.setattr(orders, "_tables", {})
-        assert grown == order_columns(seq, 10**6)
+    def test_o_above_the_column_limit_raises(self, monkeypatch):
+        # the first lift, which the pass takes only for an o >= 2 (base
+        # 2's prime 1093), returns an o too large for the o column
+        calls = []
+        monkeypatch.setattr(orders, "_lift", lambda *args: calls.append(args) or 2**32)
+        with pytest.raises(ValueError, match="an order column"):
+            order_columns(SequenceSpec(2), 10**4)
+        assert calls == [(2, 364, 1093)]
 
     @pytest.mark.parametrize("fault, raised", [
         (RuntimeError("interrupted"), RuntimeError),  # a pass stopped part way
         (2**32, ValueError),  # an o too large for the o column
     ])
-    def test_failed_growth_leaves_the_table_as_it_was(self, monkeypatch, fault, raised):
+    def test_failed_build_keeps_nothing(self, monkeypatch, fault, raised):
         # The interruption comes at the 100th power the pass takes, since
         # every prime takes one; the oversized o at the first lift, which
-        # the pass takes only for an o >= 2, at base 2's prime 1093.
+        # the pass takes only for an o >= 2, at base 2's prime 1093.  No
+        # state outlives the failed call: the next one, with the fault
+        # gone, equals the oracle.
         if isinstance(fault, Exception):
             a, name, real, at = 7, "pow", pow, 100
         else:
             a, name, real, at = 2, "_lift", orders._lift, 1
-        monkeypatch.setattr(orders, "_tables", {})
         seq = SequenceSpec(a)
-        order_columns(seq, 1000)
-        before = orders._tables[a]
-        columns = [list(c) for c in before[1:]]
         calls = 0
 
         def faulty(*args):
@@ -262,34 +214,43 @@ class TestOrderRecordsBatch:
         with pytest.raises(raised):
             order_columns(seq, 10**4)
         assert calls == at
-        assert orders._tables[a] is before
-        assert [list(c) for c in before[1:]] == columns
-        ps, ells, os = columns
-        assert len(ps) == len(ells) == len(os)
-        assert ps == sorted(set(ps))
         monkeypatch.setattr(orders, name, real)
-        grown = list(zip(*order_columns(seq, 10**4)))
-        with mock.patch.dict(orders._tables, clear=True):
-            assert list(zip(*order_columns(seq, 10**4))) == grown
+        got = list(zip(*order_columns(seq, 2000)))
+        expected = []
+        for p in sieve_primes(2000):
+            if a % p != 0:
+                ell = order_by_enumeration(a, p)
+                expected.append((p, ell, valuation(a**ell - 1, p)))
+        assert got == expected
 
-    def test_table_keeps_under_16_bytes_per_record(self, monkeypatch):
-        # Deterministic: tracemalloc counts the bytes the table retains,
-        # with the shared sieve built beforehand.  Three array("I")
+    def test_columns_refuse_y_above_the_sieve(self, monkeypatch):
+        # refused before any sieve or smallest-prime-factor array is built
+        def refused(limit):
+            raise AssertionError(f"smallest_prime_factors({limit}) called")
+
+        monkeypatch.setattr(orders, "smallest_prime_factors", refused)
+        monkeypatch.setattr(arith, "_sieve", arith._sieve_triple(1000))
+        with pytest.raises(ValueError, match="SIEVE_MAX"):
+            order_columns(SequenceSpec(3), arith.SIEVE_MAX + 1)
+        assert arith._sieve[0] < 10**6
+
+    def test_table_keeps_under_16_bytes_per_record(self):
+        # Deterministic: tracemalloc counts the bytes the returned columns
+        # hold, with the shared sieve built beforehand.  Three array("I")
         # columns take 12 bytes a record; a frozen dataclass object per
         # record would take about 96.  Tracing slows the build some
         # 35-fold, hence y = 2 * 10^4, not the 2 * 10^5 the benchmark's
         # table workload reaches.
         y = 2 * 10**4
         arith.primes_upto(y)
-        monkeypatch.setattr(orders, "_tables", {})
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            order_columns(SequenceSpec(5), y)
+            columns = order_columns(SequenceSpec(5), y)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        records = len(orders._tables[5][1])
+        records = len(columns[0])
         assert records == len(sieve_primes(y)) - 1
         assert retained < 16 * records
 
@@ -303,16 +264,25 @@ class TestOrderRecordsBatch:
             return wrapper
 
         for name in ("is_prime", "factorize"):
-            for module in (arith, orders):  # orders binds is_prime for its valuations
+            for module in (arith, orders):  # orders binds both for its single records
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        monkeypatch.setattr(orders, "_tables", {})
         seq = SequenceSpec(7)
         assert len(order_columns(seq, 5000)[0]) == len(sieve_primes(5000)) - 1
-        # a lookup past the table grows it the same way
-        order_record(seq, 5003)
-        assert order_columns(seq, 5003)[0][-1] == 5003
         assert calls == []
+
+    def test_cold_lookup_works_from_p_minus_1(self, monkeypatch):
+        # a single record factors p - 1 by trial division up to its
+        # square root; it builds no order columns and no sieve up to p
+        def refused(limit):
+            raise AssertionError(f"smallest_prime_factors({limit}) called")
+
+        monkeypatch.setattr(orders, "smallest_prime_factors", refused)
+        monkeypatch.setattr(arith, "_sieve", arith._sieve_triple(1000))
+        seq = SequenceSpec(2)
+        assert order_record(seq, 99999989) == (99999988, 1)
+        assert order_record(seq, 3511) == (1755, 2)
+        assert arith._sieve[0] < 10**6
 
 
 class TestTermValuations:
@@ -332,6 +302,17 @@ class TestTermValuations:
         for route in (term_valuation_direct, term_valuation_lte):
             with pytest.raises(ValueError, match="not prime"):
                 route(SequenceSpec(10), 1, p)
+
+    def test_lte_tests_p_once_and_rejects_p_above_the_sieve(self, monkeypatch):
+        calls = []
+        is_prime = orders.is_prime
+        monkeypatch.setattr(orders, "is_prime", lambda m: calls.append(m) or is_prime(m))
+        # base 2's Wieferich prime 1093: o = 2, plus v_1093(n) = 1
+        assert term_valuation_lte(SequenceSpec(2), 364 * 1093, 1093) == 3
+        assert calls == [1093]
+        assert arith.is_prime(arith.SIEVE_MAX + 7)
+        with pytest.raises(ValueError, match="SIEVE_MAX"):
+            term_valuation_lte(SequenceSpec(2), 1, arith.SIEVE_MAX + 7)
 
     def test_triple_equality_small(self):
         for a in (2, 3, 12):

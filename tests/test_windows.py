@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothlab import orders
+from smoothlab import orders, windows
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.bounds import default_y, density_bound, stewart_bound
 from smoothlab.orders import SequenceSpec, order_columns, term_valuation_direct
@@ -87,14 +87,16 @@ class TestPrimeWindowValuationSum:
         monkeypatch.setattr(orders, "is_prime", lambda m: calls.append(m) or is_prime(m))
         direct, formula = prime_window_valuation_sum(SequenceSpec(2), 7, 1000)
         assert direct == formula > 0
-        assert calls == []
+        assert calls == [7]
 
-    def test_rejects_empty_window_before_building_the_table(self):
-        # the order table of base 97 would first grow past p = 100003
-        tables = dict(orders._tables)
+    def test_rejects_empty_window_before_building_the_table(self, monkeypatch):
+        # N is checked before p's order record is asked for
+        def refused(seq, p):
+            raise AssertionError(f"order_record({seq}, {p}) called")
+
+        monkeypatch.setattr(windows, "order_record", refused)
         with pytest.raises(ValueError, match="N must be >= 1"):
             prime_window_valuation_sum(SequenceSpec(97), 100003, 0)
-        assert orders._tables == tables
 
     def test_rejects_two_and_dividing(self):
         # p = 2 is rejected only where it divides the base

@@ -14,8 +14,8 @@ from .arith import (
 )
 from .orders import (
     SequenceSpec,
-    order_columns,
     order_record,
+    order_records,
     term_valuation_direct,
     term_valuation_lte,
 )

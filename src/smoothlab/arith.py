@@ -4,8 +4,9 @@ Everything here is pure and deterministic.  The only shared state is the
 cached prime sieve behind primes_upto: it starts at 1000, at least
 doubles when a larger cutoff is asked for, and is swapped in whole as
 one (limit, primes, mark) triple, mark being the sieve's byte array with
-a 1 at exactly the primes, so a caller can read the primes of an
-arithmetic progression off it as a C-level slice.  Cutoffs above
+a 1 at exactly the primes, so _progression reads the primes of an
+arithmetic progression off it as a C-level slice.  primes_upto hands
+out copies, so no caller can change the shared list.  Cutoffs above
 SIEVE_MAX raise ValueError.
 smallest_prime_factors builds a fresh least-prime-factor array from that
 sieve, so a whole range of integers factors without trial division.
@@ -17,7 +18,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 # Trial division handles primes up to this bound; beyond it Pollard rho
 # takes over.
@@ -159,15 +160,27 @@ def _shared_sieve(limit: int) -> tuple[int, list[int], bytearray]:
 
 
 def primes_upto(limit: int) -> list[int]:
-    """Cached ascending prime list for 0 <= limit <= SIEVE_MAX.
+    """Ascending list of the primes <= limit for 0 <= limit <= SIEVE_MAX,
+    a fresh copy off the shared sieve, so the caller may change it.
 
     Raises ValueError above SIEVE_MAX, before anything is allocated."""
     if limit < 2:
         return []
-    sieved, primes, _ = _shared_sieve(limit)
-    if limit >= sieved:
-        return primes
+    _, primes, _ = _shared_sieve(limit)
     return primes[: bisect_right(primes, limit)]
+
+
+def _progression(t: int, L: int):
+    """Iterator over the primes p <= L with p = 1 mod t, for t >= 1,
+    ascending, read lazily off the shared sieve: for t = 1 its prime
+    list, which keeps p = 2, and otherwise a C-level slice of its byte
+    mark stepped by lcm(t, 2), as an odd p = 1 mod t is = 1 mod 2t.
+    Raises ValueError for L above SIEVE_MAX."""
+    _, primes, mark = _shared_sieve(L)
+    if t == 1:
+        return islice(primes, bisect_right(primes, L))
+    s = t if t % 2 == 0 else 2 * t
+    return compress(range(s + 1, L + 1, s), mark[s + 1 : L + 1 : s])
 
 
 def smallest_prime_factors(limit: int) -> array:
@@ -341,14 +354,8 @@ def factorize(m: int, budget: int = RHO_BUDGET, *, step: int = 1) -> Factorizati
     found: dict[int, int] = {}
     rest = m
     bound = min(math.isqrt(rest), TRIAL_DIVISION_LIMIT)
-    if step == 1:
-        candidates = primes_upto(bound)
-    else:
-        s = step if step % 2 == 0 else 2 * step
-        _, _, mark = _shared_sieve(bound)
-        own = [q for q, _ in factorize(math.gcd(m, step)) if q <= bound]
-        candidates = chain(own, compress(range(s + 1, bound + 1, s), mark[s + 1 : bound + 1 : s]))
-    for p in candidates:
+    own = [q for q, _ in factorize(math.gcd(m, step)) if q <= bound]
+    for p in chain(own, _progression(step, bound)):
         if p * p > rest:
             break
         if rest % p == 0:

@@ -2,9 +2,9 @@
 valuations, and two independent routes to v_p(a^n - 1) that never build
 a^n - 1 itself.
 
-The records (p, ell_p, o_p) come by two routes, and nothing is kept
-between calls.  order_columns builds the columns of every prime up to a
-cutoff in one pass over the sieved primes: by lifting the exponent,
+The records (p, ell_p, o_p) come by two routes, and neither stores one.
+order_records yields the record of every prime up to a cutoff, in one
+pass over the sieved primes: by lifting the exponent,
 o_p = v_p(a^(p-1) - 1), so one power of a mod p^2 per prime settles
 both the 2-part of ell_p and whether o_p >= 2; only the odd part of
 p - 1 is factored, off one smallest-prime-factor array, and only the
@@ -17,10 +17,9 @@ lifts.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
-from .arith import _check_cutoff, factorize, is_prime, primes_upto, smallest_prime_factors, valuation
+from .arith import _check_cutoff, _progression, factorize, is_prime, smallest_prime_factors, valuation
 
 
 @dataclass(frozen=True)
@@ -32,12 +31,6 @@ class SequenceSpec:
     def __post_init__(self):
         if self.base < 2:
             raise ValueError("base must be an integer >= 2")
-
-
-# Largest o an array("I") column holds.  p^o divides a^ell - 1, so
-# o < ell * log2(a) / log2(p): a base of fewer than 2^32 / (p - 1) bits
-# never reaches it.
-_O_MAX = 2**32 - 1
 
 
 def _lift(a: int, k: int, p: int) -> int:
@@ -63,52 +56,46 @@ def _record(a: int, p: int, m: int, primes_of_m) -> tuple[int, int]:
     return e, _lift(a, e, p)
 
 
-def order_columns(seq: SequenceSpec, y: int) -> tuple[array, array, array]:
-    """The ascending columns (ps, ells, os) of the primes p <= y not
-    dividing the base: zip them for the (p, ell, o) triples.
+def order_records(seq: SequenceSpec, y: int):
+    """Yield the triple (p, ell, o) of each prime p <= y not dividing
+    the base, in ascending p; the generator stores none of them.
 
-    One pass over the sieved primes, kept nowhere.  With p - 1 = 2^v m,
-    m odd, one power w = a^m mod p^2 gives both the 2-part of the order
-    and the lift: ell_p's odd part divides m, so w squared j times turns
-    1 mod p at j = v_2(ell_p), and o_p >= 2 exactly when that power is 1
-    mod p^2.  The odd part of ell_p is the order of b = a^(2^v) mod p:
-    each prime q of m, read off one smallest-prime-factor array of the
-    odd parts, is stripped from e = m while b^(e/q) stays 1 mod p.  Only
-    an o_p >= 2 is lifted further, to its exact value.  Raises
-    ValueError for y above SIEVE_MAX or an o above _O_MAX."""
+    One pass over the sieved primes.  With p - 1 = 2^v m, m odd, one
+    power w = a^m mod p^2 gives both the 2-part of the order and the
+    lift: ell_p's odd part divides m, so w squared j times turns 1 mod
+    p at j = v_2(ell_p), and o_p >= 2 exactly when that power is 1 mod
+    p^2.  The odd part of ell_p is the order of b = a^(2^v) mod p: each
+    prime q of m, read off one smallest-prime-factor array of the odd
+    parts, is stripped from e = m while b^(e/q) stays 1 mod p.  Only an
+    o_p >= 2 is lifted further, to its exact value.  Raises ValueError
+    for y above SIEVE_MAX on the first next(), before any sieve or
+    array is built."""
     a = seq.base
-    ps = array("I", filter(a.__mod__, primes_upto(y)))
-    ells, os = array("I"), array("I")
-    if ps:
-        spf = smallest_prime_factors((ps[-1] - 1) // 2)
-        for p in ps:
-            v = ((p - 1) & (1 - p)).bit_length() - 1
-            e = m = (p - 1) >> v
-            p2 = p * p
-            w = pow(a, m, p2)
-            j = 0
-            while w % p != 1:
-                w = w * w % p2
-                j += 1
-            # w = 1 + kp now, and for odd p its 2^i-th power is
-            # 1 + 2^i kp mod p^2 (p = 2 has v = 0): so a^(p-1) = 1
-            # mod p^2, that is o_p = v_p(a^(p-1) - 1) >= 2, iff w == 1
-            b = pow(a, 1 << v, p)
-            while m > 1:
-                q = spf[m] or m  # 0 marks a prime m
-                while m % q == 0:
-                    m //= q
-                while e % q == 0 and pow(b, e // q, p) == 1:
-                    e //= q
-            e <<= j
-            o = 1
-            if w == 1:
-                o = _lift(a, e, p)
-                if o > _O_MAX:
-                    raise ValueError(f"o_{p} = {o} exceeds {_O_MAX}, the most an order column holds")
-            ells.append(e)
-            os.append(o)
-    return ps, ells, os
+    primes = _progression(1, y)
+    spf = smallest_prime_factors(max(y - 1, 0) // 2)
+    for p in primes:
+        if a % p == 0:
+            continue
+        v = ((p - 1) & (1 - p)).bit_length() - 1
+        e = m = (p - 1) >> v
+        p2 = p * p
+        w = pow(a, m, p2)
+        j = 0
+        while w % p != 1:
+            w = w * w % p2
+            j += 1
+        # w = 1 + kp now, and for odd p its 2^i-th power is 1 + 2^i kp
+        # mod p^2 (p = 2 has v = 0): so a^(p-1) = 1 mod p^2, that is
+        # o_p = v_p(a^(p-1) - 1) >= 2, iff w == 1
+        b = pow(a, 1 << v, p)
+        while m > 1:
+            q = spf[m] or m  # 0 marks a prime m
+            while m % q == 0:
+                m //= q
+            while e % q == 0 and pow(b, e // q, p) == 1:
+                e //= q
+        e <<= j
+        yield p, e, _lift(a, e, p) if w == 1 else 1
 
 
 def order_record(seq: SequenceSpec, p: int) -> tuple[int, int]:

@@ -9,11 +9,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from operator import not_
 from typing import NamedTuple
 
-from .arith import SIEVE_MAX, Factorization, _shared_sieve, factorize, primes_upto
+from .arith import SIEVE_MAX, Factorization, _progression, _shared_sieve, factorize
 from .orders import SequenceSpec, _lift, _record
 
 # Relative width of the band around the threshold inside which the
@@ -210,17 +210,6 @@ def _pow_test(a: int, n: int, candidates) -> list[int]:
     return [p for p in candidates if pow(a, gcd(n, p - 1), p) == 1]
 
 
-def _progression(t: int, L: int, primes: list[int], mark: bytearray) -> list[int]:
-    """The primes p <= L with p = 1 mod t, ascending: for t = 1 the prime
-    list, which keeps p = 2, and otherwise a C-level slice of the
-    sieve's byte mark stepped by lcm(t, 2), as an odd p = 1 mod t is
-    = 1 mod 2t."""
-    if t == 1:
-        return primes[: bisect_right(primes, L)]
-    s = t if t % 2 == 0 else 2 * t
-    return list(compress(range(s + 1, L + 1, s), mark[s + 1 : L + 1 : s]))
-
-
 def _term_primes(a: int, n: int, Y: int) -> list[int]:
     """The primes p <= Y dividing a^n - 1, ascending.
 
@@ -245,15 +234,15 @@ def _term_primes(a: int, n: int, Y: int) -> list[int]:
     a^gcd(n, p - 1) = 1 mod p, as ell_p divides p - 1 (the residue is 0
     where p divides the base, and a mod 2 for p = 2).
     """
-    _, primes, mark = _shared_sieve(Y)
+    _, primes, _ = _shared_sieve(Y)
     count = bisect_right(primes, Y)
     passes, visits = _divisor_passes(a, n, Y, primes)
     if visits >= _SLICE_SHARE * count:
-        return _pow_test(a, n, islice(primes, count))
+        return _pow_test(a, n, _progression(1, Y))
     d_max = _MOD_PASS_BITS / math.log2(a)
     found = set()
     for d, L in passes:
-        candidates = _progression(d, L, primes, mark)
+        candidates = list(_progression(d, L))
         if d > d_max:
             found.update(p for p in candidates if pow(a, d, p) == 1)
         else:
@@ -318,7 +307,7 @@ def enumerate_members(seq: SequenceSpec, cutoff: CutoffSpec, c, N: int) -> list[
     if N < 1:
         return []
     c = _threshold_base(c)
-    primes_upto(_scan_limit(seq.base, N, cutoff.value_at(N)))  # presize the shared sieve once
+    _shared_sieve(_scan_limit(seq.base, N, cutoff.value_at(N)))  # presize the shared sieve once
     return [n for n in range(1, N + 1) if membership(seq, n, cutoff, c).member]
 
 

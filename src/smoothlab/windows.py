@@ -1,8 +1,12 @@
 """Windowed products of smooth parts over (N/2, N], per-prime valuation
 sums, and the two-bin split of primes by o_p * ln p / ell_p.
 
-Everything here is finite and exact (or double precision where a real
-number is unavoidable); nothing asserts an asymptotic.
+Each side of a window product is read once, in order, and stored
+nowhere: the p-major side and the two-bin split consume the stream of
+order_records, and the n-major side keeps one float per n, the log of
+its term's smooth part.  Everything here is finite and exact (or double
+precision where a real number is unavoidable); nothing asserts an
+asymptotic.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import NamedTuple
 
 from .arith import valuation
 from .bounds import density_bound
-from .orders import SequenceSpec, _valuation_direct, order_columns, order_record
+from .orders import SequenceSpec, _valuation_direct, order_record, order_records
 from .smooth import CutoffSpec, _decide, _threshold_base, enumerate_members, smooth_part_of_term
 
 
@@ -58,27 +62,28 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
     run over primes with the lifting-the-exponent counts.
 
     member_count (against the threshold c^n at cutoff Kn) is filled only
-    when c is supplied; each n is decided from its term above exactly as
-    membership decides it.
+    when c is supplied, which is checked before any term is built; each
+    n is decided from its term above exactly as membership decides it,
+    in the same pass, which keeps only the log of each term.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     cutoff = CutoffSpec.linear(K)
     y = cutoff.value_at(N)
+    c = None if c is None else _threshold_base(c)
 
-    terms = [smooth_part_of_term(seq, n, y) for n in _window(N)]
-    log_q = math.fsum(t.log_value() for t in terms)
+    logs, members = [], 0
+    for n in _window(N):
+        term = smooth_part_of_term(seq, n, y)
+        logs.append(term.log_value())
+        if c is not None:
+            members += _decide(n, cutoff.value_at(n), c, term).member
+    log_q = math.fsum(logs)
 
     log_q_by_prime = math.fsum(
         _lte_window_sum(seq, p, ell, o, N) * math.log(p)
-        for p, ell, o in zip(*order_columns(seq, y))
+        for p, ell, o in order_records(seq, y)
     )
-
-    member_count = None
-    if c is not None:
-        c = _threshold_base(c)
-        member_count = sum(_decide(n, cutoff.value_at(n), c, t).member
-                           for n, t in zip(_window(N), terms))
 
     return WindowReport(
         N=N,
@@ -86,7 +91,7 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
         log_Q=log_q,
         log_Q_by_prime=log_q_by_prime,
         agreement_delta=abs(log_q - log_q_by_prime),
-        member_count=member_count,
+        member_count=None if c is None else members,
     )
 
 
@@ -129,7 +134,7 @@ def dyadic_partition(seq: SequenceSpec, K, N: int, y: float) -> DyadicReport:
     q1_sum = 0.0
     q1 = q2 = 0
     max_ell_q2 = 0
-    for p, ell, o in zip(*order_columns(seq, cutoff.value_at(N))):
+    for p, ell, o in order_records(seq, cutoff.value_at(N)):
         r = o * math.log(p) / ell
         if r < threshold:
             q1 += 1

@@ -72,6 +72,14 @@ class TestSieve:
             assert sieved == limit and len(mark) == limit + 1
             assert primes == [m for m in range(limit + 1) if is_prime(m)], limit
 
+    def test_primes_upto_hands_out_a_copy(self, monkeypatch):
+        # a caller that changes its list changes no later answer; the
+        # fresh shared sieve keeps a corruption from reaching other tests
+        monkeypatch.setattr(arith, "_sieve", _sieve_triple(1000))
+        arith.primes_upto(5000).reverse()
+        assert dict(factorize(91)) == {7: 1, 13: 1}
+        assert arith.primes_upto(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+
     def test_rejects_limit_above_sieve_max_before_allocating(self, monkeypatch):
         def no_sieve(limit):
             raise AssertionError("sieved before the limit check")

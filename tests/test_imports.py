@@ -7,6 +7,11 @@ public names.  __future__ imports are exempt.
 Every private module-level function or constant of the package is read
 somewhere in src/ or tests/, so a rewrite leaves no dead helper behind.
 
+No library module keeps state at module level: none binds a list, dict,
+set, bytearray or array there, and none has a global statement, except
+the shared prime sieve arith._sieve.  So a cache cannot come back
+unnoticed.
+
 No library module imports mpmath at import time either.  Only the
 50-digit mode of bounds uses it, and importing it costs a process about
 30 ms and 4 MB, so it is imported where it is used.
@@ -91,6 +96,57 @@ def test_every_private_name_is_read():
     dead = [f"{path.name}: {name}" for path in MODULES + [PACKAGE / "__init__.py"]
             for name in private_definitions(path.read_text()) if name not in read]
     assert dead == []
+
+
+MUTABLE_CONSTRUCTORS = {"list", "dict", "set", "bytearray", "array"}
+
+
+def module_state(source: str) -> list[str]:
+    """Names that source binds at module level (outside every function
+    body) to a list, dict, set, bytearray or array, by a display, a
+    comprehension or a call of the type, and names it declares global."""
+    names = []
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Global):
+            names += node.names
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value is not None:
+            value = node.value
+            if isinstance(value, ast.Call):
+                func = value.func
+                mutable = getattr(func, "id", getattr(func, "attr", None)) in MUTABLE_CONSTRUCTORS
+            else:
+                mutable = isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                                             ast.DictComp, ast.SetComp))
+            if mutable:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += [n for n in ast.walk(node) if isinstance(n, ast.Global)]
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_finds_module_state():
+    source = (
+        "import array as arr\nfrom array import array\n"
+        "_SIZES = (1, 2)\nLIMIT: int = 3\n_seen = {}\n_rows: list = []\n"
+        "if True:\n    _marks = bytearray(8)\n"
+        "_cols = arr.array('I')\n_h = array('H')\n_squares = {k * k for k in range(9)}\n"
+        "_frozen = frozenset([1])\n"
+        "class A:\n    cache = dict()\n"
+        "def f():\n    local = []\n    global _count\n    _count = 1\n"
+    )
+    assert sorted(module_state(source)) == sorted(
+        ["_seen", "_rows", "_marks", "_cols", "_h", "_squares", "cache", "_count"])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_no_state(path):
+    allowed = {"_sieve"} if path.name == "arith.py" else set()
+    assert set(module_state(path.read_text())) <= allowed
 
 
 def imported_at_import_time(source: str) -> set[str]:

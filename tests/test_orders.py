@@ -9,8 +9,8 @@ from smoothlab import arith, orders
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.orders import (
     SequenceSpec,
-    order_columns,
     order_record,
+    order_records,
     term_valuation_direct,
     term_valuation_lte,
 )
@@ -90,14 +90,15 @@ class TestInitialValuation:
             assert valuation(a**ell - 1, p) == o
             records[p] = (ell, o)
             assert order_record(seq, p) == (ell, o)
-        columns = order_columns(seq, 5 * 10**4)
-        assert {p: (ell, o) for p, ell, o in zip(*columns) if o > 1} == records
+        got = {p: (ell, o) for p, ell, o in order_records(seq, 5 * 10**4) if o > 1}
+        assert got == records
 
     @pytest.mark.parametrize("p", [2, 3, 5, 17, 257, 65537, 12289, 40961, 786433])
     def test_two_adic_edges(self, p):
         # the Fermat primes have an odd part m = 1 of p - 1; 12289, 40961
         # and 786433 have v_2(p - 1) = 12, 13 and 18.  Both routes are
-        # checked: p's row of the columns and the single-prime record.
+        # checked: p's record, the last order_records yields up to p, and
+        # the single-prime record.
         divisors = sorted({d for k in range(1, math.isqrt(p - 1) + 1) if (p - 1) % k == 0
                            for d in (k, (p - 1) // k)})
         for a in (2, 3, 5, 6, 7, 10):
@@ -108,8 +109,8 @@ class TestInitialValuation:
             while pow(a, ell, p ** (o + 1)) == 1:
                 o += 1
             seq = SequenceSpec(a)
-            ps, ells, os = order_columns(seq, p)
-            assert (ps[-1], ells[-1], os[-1]) == (p, ell, o)
+            *_, last = order_records(seq, p)
+            assert last == (p, ell, o)
             assert order_record(seq, p) == (ell, o)
 
 
@@ -137,13 +138,13 @@ class TestOrderRecord:
                 ell, o = order_record(seq, p)
                 assert o * math.log(p) <= ell * math.log(a)
 
-    def test_order_columns_match_order_record(self):
-        # the one-pass columns against one record per prime from p - 1
+    def test_order_records_match_order_record(self):
+        # the one-pass stream against one record per prime from p - 1
         for a in (2, 3, 6, 10, 12):
             seq = SequenceSpec(a)
             got = [(p, *order_record(seq, p)) for p in sieve_primes(300) if a % p != 0]
-            assert list(zip(*order_columns(seq, 300))) == got
-        assert list(zip(*order_columns(SequenceSpec(2), 1))) == []
+            assert list(order_records(seq, 300)) == got
+        assert list(order_records(SequenceSpec(2), 1)) == []
 
     @pytest.mark.parametrize("p", [-3, 0, 1, 4, 91, 3, arith.SIEVE_MAX + 7])
     def test_rejects_what_has_no_record(self, p):
@@ -164,7 +165,7 @@ class TestOrderRecordsBatch:
     @example(a=28, y=3000)  # o_3 = 3, o_19 = o_23 = 2
     @settings(max_examples=30)
     def test_both_routes_against_enumeration(self, a, y):
-        # the one-pass columns and the per-prime records from p - 1, each
+        # the one-pass stream and the per-prime records from p - 1, each
         # against the order by enumeration and the valuation of a^ell - 1
         seq = SequenceSpec(a)
         expected = []
@@ -172,50 +173,39 @@ class TestOrderRecordsBatch:
             if a % p != 0:
                 ell = order_by_enumeration(a, p)
                 expected.append((p, ell, valuation(a**ell - 1, p)))
-        assert list(zip(*order_columns(seq, y))) == expected
+        assert list(order_records(seq, y)) == expected
         assert [(p, *order_record(seq, p)) for p, _, _ in expected] == expected
 
-    def test_o_above_the_column_limit_raises(self, monkeypatch):
+    def test_o_above_32_bits_is_yielded_as_it_is(self, monkeypatch):
         # the first lift, which the pass takes only for an o >= 2 (base
-        # 2's prime 1093), returns an o too large for the o column
+        # 2's prime 1093), returns an o past 32 bits; no column caps it
         calls = []
         monkeypatch.setattr(orders, "_lift", lambda *args: calls.append(args) or 2**32)
-        with pytest.raises(ValueError, match="an order column"):
-            order_columns(SequenceSpec(2), 10**4)
+        records = {p: (ell, o) for p, ell, o in order_records(SequenceSpec(2), 1100)}
+        assert records[1093] == (364, 2**32)
         assert calls == [(2, 364, 1093)]
 
-    @pytest.mark.parametrize("fault, raised", [
-        (RuntimeError("interrupted"), RuntimeError),  # a pass stopped part way
-        (2**32, ValueError),  # an o too large for the o column
-    ])
-    def test_failed_build_keeps_nothing(self, monkeypatch, fault, raised):
+    def test_failed_build_keeps_nothing(self, monkeypatch):
         # The interruption comes at the 100th power the pass takes, since
-        # every prime takes one; the oversized o at the first lift, which
-        # the pass takes only for an o >= 2, at base 2's prime 1093.  No
-        # state outlives the failed call: the next one, with the fault
-        # gone, equals the oracle.
-        if isinstance(fault, Exception):
-            a, name, real, at = 7, "pow", pow, 100
-        else:
-            a, name, real, at = 2, "_lift", orders._lift, 1
+        # every prime takes one.  No state outlives the failed call: the
+        # next one, with the fault gone, equals the oracle.
+        a = 7
         seq = SequenceSpec(a)
         calls = 0
 
         def faulty(*args):
             nonlocal calls
             calls += 1
-            if calls < at:
-                return real(*args)
-            if isinstance(fault, Exception):
-                raise fault
-            return fault
+            if calls < 100:
+                return pow(*args)
+            raise RuntimeError("interrupted")
 
-        monkeypatch.setattr(orders, name, faulty, raising=False)
-        with pytest.raises(raised):
-            order_columns(seq, 10**4)
-        assert calls == at
-        monkeypatch.setattr(orders, name, real)
-        got = list(zip(*order_columns(seq, 2000)))
+        monkeypatch.setattr(orders, "pow", faulty, raising=False)
+        with pytest.raises(RuntimeError):
+            list(order_records(seq, 10**4))
+        assert calls == 100
+        monkeypatch.undo()
+        got = list(order_records(seq, 2000))
         expected = []
         for p in sieve_primes(2000):
             if a % p != 0:
@@ -223,36 +213,38 @@ class TestOrderRecordsBatch:
                 expected.append((p, ell, valuation(a**ell - 1, p)))
         assert got == expected
 
-    def test_columns_refuse_y_above_the_sieve(self, monkeypatch):
-        # refused before any sieve or smallest-prime-factor array is built
+    def test_records_refuse_y_above_the_sieve(self, monkeypatch):
+        # refused on the first next(), before any sieve or
+        # smallest-prime-factor array is built
         def refused(limit):
             raise AssertionError(f"smallest_prime_factors({limit}) called")
 
         monkeypatch.setattr(orders, "smallest_prime_factors", refused)
         monkeypatch.setattr(arith, "_sieve", arith._sieve_triple(1000))
+        records = order_records(SequenceSpec(3), arith.SIEVE_MAX + 1)
         with pytest.raises(ValueError, match="SIEVE_MAX"):
-            order_columns(SequenceSpec(3), arith.SIEVE_MAX + 1)
+            next(records)
         assert arith._sieve[0] < 10**6
 
-    def test_table_keeps_under_16_bytes_per_record(self):
-        # Deterministic: tracemalloc counts the bytes the returned columns
-        # hold, with the shared sieve built beforehand.  Three array("I")
-        # columns take 12 bytes a record; a frozen dataclass object per
-        # record would take about 96.  Tracing slows the build some
-        # 35-fold, hence y = 2 * 10^4, not the 2 * 10^5 the benchmark's
-        # table workload reaches.
+    def test_stream_stores_no_record(self):
+        # Deterministic: tracemalloc counts the bytes the stream holds
+        # once its sieve and smallest-prime-factor array exist, that is,
+        # after the first record.  Consuming the other 2,260 records adds
+        # less than 4 KiB, where even 4 bytes a record would add 9 KiB.
+        # Tracing slows the build some 35-fold, hence y = 2 * 10^4, not
+        # the 2 * 10^5 the benchmark's table workload reaches.
         y = 2 * 10**4
-        arith.primes_upto(y)
+        records = order_records(SequenceSpec(5), y)
         tracemalloc.start()
         try:
+            next(records)
             before = tracemalloc.get_traced_memory()[0]
-            columns = order_columns(SequenceSpec(5), y)
-            retained = tracemalloc.get_traced_memory()[0] - before
+            rest = sum(1 for _ in records)
+            grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        records = len(columns[0])
-        assert records == len(sieve_primes(y)) - 1
-        assert retained < 16 * records
+        assert 1 + rest == len(sieve_primes(y)) - 1
+        assert grown < 4096
 
     def test_batch_build_skips_prime_test_and_factoring(self, monkeypatch):
         calls = []
@@ -268,12 +260,12 @@ class TestOrderRecordsBatch:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         seq = SequenceSpec(7)
-        assert len(order_columns(seq, 5000)[0]) == len(sieve_primes(5000)) - 1
+        assert sum(1 for _ in order_records(seq, 5000)) == len(sieve_primes(5000)) - 1
         assert calls == []
 
     def test_cold_lookup_works_from_p_minus_1(self, monkeypatch):
         # a single record factors p - 1 by trial division up to its
-        # square root; it builds no order columns and no sieve up to p
+        # square root; it runs no order_records pass and no sieve up to p
         def refused(limit):
             raise AssertionError(f"smallest_prime_factors({limit}) called")
 

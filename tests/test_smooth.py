@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothlab.arith import _shared_sieve, divisors, primes_upto, smooth_part_oracle
-from smoothlab.orders import SequenceSpec, order_columns, term_valuation_direct
-from smoothlab import orders, smooth
+from smoothlab.orders import SequenceSpec, order_records, term_valuation_direct
+from smoothlab import arith, orders, smooth
 from smoothlab.smooth import (
     _FEW_CANDIDATES,
     _MOD_PASS_BITS,
@@ -171,10 +171,9 @@ class TestSmoothPartOfTerm:
         # the two @examples above take a pass with candidates whose
         # a^d - 1 passes the bit cap, which tests them by pow(a, d, p)
         taken = []
-        progression = smooth._progression
 
-        def recording(t, L, primes, mark):
-            found = progression(t, L, primes, mark)
+        def recording(t, L):
+            found = list(arith._progression(t, L))
             taken.append((t, len(found)))
             return found
 
@@ -406,7 +405,7 @@ class TestCountingReportAgainstTable:
     def test_records_match_table_rows(self):
         for a in (2, 3, 5, 6, 7, 10):
             seq = SequenceSpec(a)
-            rows = list(zip(*order_columns(seq, 720720)))
+            rows = list(order_records(seq, 720720))
             for n in (360360, 720720):
                 want = [r for r in rows if r[0] <= n and n % r[1] == 0]
                 assert counting_report(seq, 1, n).records == want
@@ -422,11 +421,11 @@ class TestCountingReportAgainstTable:
     def test_records_match_table_rows_property(self, a, n, K):
         seq = SequenceSpec(a)
         y = CutoffSpec.linear(K).value_at(n)
-        want = [r for r in zip(*order_columns(seq, y)) if n % r[1] == 0]
+        want = [r for r in order_records(seq, y) if n % r[1] == 0]
         assert counting_report(seq, K, n).records == want
 
     def test_builds_no_order_table(self, monkeypatch):
-        # the order columns' pass is the one caller of this array
+        # order_records' pass is the one caller of this array
         def refused(limit):
             raise AssertionError(f"smallest_prime_factors({limit}) called")
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from smoothlab import orders, windows
 from smoothlab.arith import sieve_primes, valuation
 from smoothlab.bounds import default_y, density_bound, stewart_bound
-from smoothlab.orders import SequenceSpec, order_columns, term_valuation_direct
+from smoothlab.orders import SequenceSpec, order_records, term_valuation_direct
 from smoothlab.smooth import CutoffSpec, membership
 from smoothlab.windows import (
     density_check,
@@ -36,6 +36,15 @@ class TestWindowProduct:
         rep = window_product(SequenceSpec(2), 1, 10, c="6/5")
         # members of the threshold set in (5, 10]: {6, 8, 9}
         assert rep.member_count == 3
+
+    def test_rejects_c_before_building_any_term(self, monkeypatch):
+        # c is checked ahead of the window's pass, not after 5 * 10^4 terms
+        def refused(*args):
+            raise AssertionError("smooth_part_of_term called")
+
+        monkeypatch.setattr(windows, "smooth_part_of_term", refused)
+        with pytest.raises(ValueError, match="c must be > 1"):
+            window_product(SequenceSpec(2), 1, 10**5, c=1)
 
     @settings(max_examples=40)
     @given(
@@ -135,7 +144,7 @@ class TestEvenPrimeWindowSum:
 
 def dyadic_ratios(a, N):
     """(p, o_p * ln p / ell_p) for the primes p <= N not dividing a."""
-    return [(p, o * math.log(p) / ell) for p, ell, o in zip(*order_columns(SequenceSpec(a), N))]
+    return [(p, o * math.log(p) / ell) for p, ell, o in order_records(SequenceSpec(a), N)]
 
 
 class TestDyadicPartition:

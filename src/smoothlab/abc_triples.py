@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Factorization, FactorizationError, divisors, factorize, radical
+from .arith import Factorization, FactorizationError, _cyclotomic, divisors, factorize, radical
 from .orders import SequenceSpec
 from .smooth import POWER_CUTOFF_MAX_BITS, CutoffSpec
 
@@ -19,14 +19,14 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
 
     a^n - 1 is the product of Phi_d(a) over the divisors d of n, and a
     prime p not dividing n divides Phi_d(a) only for d = ell_p, so the
-    pieces already keep apart what rho would have to split.  Each piece
-    is Phi_d(a) = (a^d - 1) // prod of Phi_e(a) over e | d, e < d, taken
-    for ascending d.  A prime of Phi_d(a) divides d or has order d, and
-    then p = 1 mod d, so each piece is trial-divided only by the primes
-    of d and those = 1 mod d (factorize's step).  When a piece exhausts
-    the rho budget, the FactorizationError carries every prime found so
-    far as its partial result and that piece's unfactored composite as
-    its cofactor.
+    pieces already keep apart what rho would have to split.  Each piece,
+    taken for ascending d, is Phi_d(a) as the Moebius product over the
+    primes of d (arith._cyclotomic).  A prime of Phi_d(a) divides d or
+    has order d, and then p = 1 mod d, so each piece is trial-divided
+    only by the primes of d and those = 1 mod d (factorize's step).
+    When a piece exhausts the rho budget, the FactorizationError carries
+    every prime found so far as its partial result and that piece's
+    unfactored composite as its cofactor.
     Raises ValueError, before any power of a is built, for a term of
     more than POWER_CUTOFF_MAX_BITS bits counted as n * bits(a).
     """
@@ -37,14 +37,14 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
     if bits > POWER_CUTOFF_MAX_BITS:
         raise ValueError(f"the term {a}^{n} - 1 has up to {bits} bits,"
                          f" above POWER_CUTOFF_MAX_BITS = {POWER_CUTOFF_MAX_BITS}")
-    pieces: dict[int, int] = {}  # d -> Phi_d(a)
+    primes_of_n: list[int] = []  # filled as the ascending divisors reach them
     found: Counter[int] = Counter()  # prime -> exponent summed over pieces
     for d in divisors(n):
-        piece = a**d - 1
-        for e, phi in pieces.items():
-            if d % e == 0:
-                piece //= phi
-        pieces[d] = piece
+        primes = [q for q in primes_of_n if d % q == 0]
+        if not primes and d > 1:
+            primes = [d]  # no smaller prime of n divides d, so d is prime
+            primes_of_n.append(d)
+        piece = _cyclotomic(a, d, primes)
         try:
             found.update(dict(factorize(piece, step=d)))
         except FactorizationError as exc:

@@ -1,4 +1,5 @@
-"""Exact integer arithmetic: sieving, factoring, valuations, smooth parts.
+"""Exact integer arithmetic: sieving, factoring, cyclotomic values,
+valuations, smooth parts.
 
 Everything here is pure and deterministic.  The only shared state is the
 cached prime sieve behind primes_upto: it starts at 1000, at least
@@ -384,6 +385,23 @@ def factorize(m: int, budget: int = RHO_BUDGET, *, step: int = 1) -> Factorizati
                 stack.append(d)
                 stack.append(n // d)
     return Factorization(tuple(sorted(found.items())))
+
+
+def _cyclotomic(a: int, d: int, primes: list[int]) -> int:
+    """Phi_d(a) for a >= 2, d >= 1 and the distinct primes of d, as the
+    Moebius product of (a^(d/e) - 1)^mu(e) over the squarefree e made
+    from those primes: the factors with mu(e) = 1 and those with
+    mu(e) = -1 are multiplied up apart, and the one division is exact."""
+    terms = [(d, 1)]  # (d / e, mu(e))
+    for q in primes:
+        terms += [(m // q, -mu) for m, mu in terms]
+    num = den = 1
+    for m, mu in terms:
+        if mu > 0:
+            num *= a**m - 1
+        else:
+            den *= a**m - 1
+    return num // den
 
 
 def divisors(n: int) -> list[int]:

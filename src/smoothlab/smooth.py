@@ -13,7 +13,7 @@ from itertools import compress
 from operator import not_
 from typing import NamedTuple
 
-from .arith import SIEVE_MAX, Factorization, _progression, _shared_sieve, factorize
+from .arith import SIEVE_MAX, Factorization, _cyclotomic, _progression, _shared_sieve, factorize
 from .orders import SequenceSpec, _lift, _record
 
 # Relative width of the band around the threshold inside which the
@@ -24,7 +24,8 @@ TIE_GUARD = 1e-9
 # _divisor_passes' estimate of the primes they visit stays below this
 # multiple of the primes <= Y, and tests every prime <= Y from there on.
 # A visited prime mostly costs one C-level (a^d - 1) mod p, below one
-# pow test, so the crossover lies above 1.  Over 600 n in [100, 3000],
+# pow test, so the crossover lies above 1.  Measured before any pass was
+# cut, when every pass ran to min(Y, a^d - 1): over 600 n in [100, 3000],
 # 400 in [3000, 10^4] and 600 in [10^4, 10^6], half uniform and half
 # 13-smooth, at y = n (random bases 2-10, both routes timed per n, the
 # full scan with the estimate that picks it, best of 5 interleaved,
@@ -43,16 +44,22 @@ _SLICE_SHARE = 1.5
 # Over bases 2, 3, 5, 6, 7, 10 at 12 n in 5040..10^6 (y = n, best of 5,
 # timed interleaved with another copy of the module, 2-core box, Python
 # 3.11), a cap of 256 bits took 1.014 and one of 4096 bits 1.004 times
-# as long as 1024.
+# as long as 1024.  Measured on uncut passes; a cut pass divides its
+# piece, about Y^2 at most, and never comes near the cap.
 _MOD_PASS_BITS = 1024
 
 # What setting up one pass costs, its progression read off the sieve
 # and a^d - 1 built, counted as this many visited primes in the
-# estimate.  Measured as for _SLICE_SHARE, with no such charge the
-# routes taken summed to 1.029-1.032 times the faster route per n at
-# n <= 3000 (at a share of 1.0, its best there), against 1.005-1.008
-# with 16 at 1.5; 8 gave 1.002-1.004 at 1.25 but up to 1.011 above
-# n = 3000, and 32 gave 1.014-1.019 at 2.0.
+# estimate.  Measured as for _SLICE_SHARE, on uncut passes, with no such
+# charge the routes taken summed to 1.029-1.032 times the faster route
+# per n at n <= 3000 (at a share of 1.0, its best there), against
+# 1.005-1.008 with 16 at 1.5; 8 gave 1.002-1.004 at 1.25 but up to 1.011
+# above n = 3000, and 32 gave 1.014-1.019 at 2.0.  A cut pass is charged
+# it twice more per piece, once for building Phi_d(a) and once for the
+# piece's own progression: at Y = 3000 (bases 2, 3, 10, each d < 120
+# with a^d - 1 > Y, best of 5, CPU time of the thread, 2-core box, Python 3.11), an uncut
+# pass cost 12-13 visited primes beyond its visits, and a cut piece
+# 33-40 all told.
 _FEW_CANDIDATES = 16
 
 # Most bits of an integer the package builds from an exponent: of the
@@ -148,11 +155,13 @@ def _scan_limit(a: int, n: int, y: int) -> int:
     return y
 
 
-def _divisors_below(n: int, Y: int, primes: list[int]):
+def _divisors_below(n: int, Y: int, primes: list[int], found: list[int]):
     """Yield (d, phi(d)) for 1 and the divisors d < Y of n, except the
     odd ones of an even n, built up prime by prime as n's primes below Y
     turn up in trial division by the ascending sieved primes; so n
-    itself is never factored past Y."""
+    itself is never factored past Y.  Each prime of n is appended to
+    found as it turns up, so when d is yielded found holds every prime
+    of d."""
     yield 1, 1
     divisors = [(1, 1)]
     rest = n
@@ -167,6 +176,7 @@ def _divisors_below(n: int, Y: int, primes: list[int]):
             k += 1
         if not k:
             continue
+        found.append(q)
         for i in range(len(divisors)):
             d, phi = divisors[i]
             if d == 1 and q > 2 and n % 2 == 0:
@@ -180,34 +190,84 @@ def _divisors_below(n: int, Y: int, primes: list[int]):
                 d, phi = d * q, phi * q
 
 
-def _divisor_passes(a: int, n: int, Y: int, primes: list[int]) -> tuple[list[tuple[int, int]], float]:
-    """The passes (d, min(Y, a^d - 1)) of smooth_part_of_term, for d = 1
-    and each divisor d < Y of n except an odd one of an even n, and the
-    sum of pi(L) / phi(d) over them, an estimate of the primes they
-    visit, each pass counted as _FEW_CANDIDATES primes more.  The list
-    stops at the pass that brings the sum to _SLICE_SHARE * pi(Y), where
-    the full scan is taken instead, so a dense n never lists all its
-    divisors."""
+def _divisor_passes(
+    a: int, n: int, Y: int, primes: list[int]
+) -> tuple[list[tuple[int, int]], list[tuple[int, list[int]]], float]:
+    """The passes of smooth_part_of_term, for d = 1 and each divisor
+    d < Y of n except an odd one of an even n: the uncut ones, the cut
+    ones, and an estimate of the primes they visit.
+
+    An uncut pass (d, L) runs over the primes p = 1 mod lcm(d, 2) up to
+    L = min(Y, a^d - 1), counted as pi(L) / phi(d).  A pass that runs to
+    Y may be cut instead, (d, the primes of d): it trial-divides each of
+    its cyclotomic pieces only up to the piece's square root (see
+    _term_primes).  Each piece is counted as pi(min(Y, r)) / phi(d),
+    with r = 2^ceil(phi(d) * log2(a) / 2) standing for the root of a
+    piece of about a^phi(d), plus 2 * _FEW_CANDIDATES: one set-up for
+    building the piece and one for reading its progression.  A pass is
+    cut where that count is the smaller, so never where r passes Y, as
+    for a piece of Y^2 or more.  Every pass counts _FEW_CANDIDATES more
+    for its own set-up.  The lists stop at the pass that brings the sum
+    to _SLICE_SHARE * pi(Y), where the full scan is taken instead, so a
+    dense n never lists all its divisors."""
     count = bisect_right(primes, Y)
     limit = _SLICE_SHARE * count
     passes = []
+    cuts = []
     visits = 0.0
+    log2_a = math.log2(a)
     a_bits, Y_bits = a.bit_length() - 1, Y.bit_length()
-    for d, phi in _divisors_below(n, Y, primes):
-        L = Y
-        if d * a_bits < Y_bits:  # else a^d >= 2^(d * a_bits) > Y
-            L = min(Y, a**d - 1)
-        passes.append((d, L))
-        visits += (count if L == Y else bisect_right(primes, L)) / phi + _FEW_CANDIDATES
+    phi_max = 2 * (Y_bits - 1) / log2_a  # past it r >= 2^Y_bits > Y, and a cut visits no fewer
+    found = []
+    for d, phi in _divisors_below(n, Y, primes, found):
+        if d * a_bits < Y_bits and (L := min(Y, a**d - 1)) < Y:  # else a^d >= 2^(d * a_bits) > Y
+            passes.append((d, L))
+            visits += bisect_right(primes, L) / phi + _FEW_CANDIDATES
+        elif phi <= phi_max and (cut := (2 if d % 4 == 2 and d > 2 else 1)
+                                 * (bisect_right(primes, 1 << math.ceil(phi * log2_a / 2)) / phi
+                                    + 2 * _FEW_CANDIDATES)) < count / phi:
+            cuts.append((d, [q for q in found if d % q == 0]))
+            visits += cut + _FEW_CANDIDATES
+        else:
+            passes.append((d, Y))
+            visits += count / phi + _FEW_CANDIDATES
         if visits >= limit:
             break
-    return passes, visits
+    return passes, cuts, visits
 
 
 def _pow_test(a: int, n: int, candidates) -> list[int]:
     """The candidates p with a^gcd(n, p - 1) = 1 mod p, in order."""
     gcd = math.gcd
     return [p for p in candidates if pow(a, gcd(n, p - 1), p) == 1]
+
+
+def _piece_primes(piece: int, t: int, strip: list[int], Y: int) -> list[int]:
+    """The primes p <= Y of order k, taken from the cyclotomic piece
+    Phi_k(a), for the pass of t with k = t or t/2; strip holds the
+    primes of t.
+
+    A prime of Phi_k(a) either divides k or has order k, and then
+    p = 1 mod k.  So once the primes of t are stripped, every prime of
+    the rest lies in the progression of the pass of t, the primes
+    p = 1 mod lcm(t, 2) (p = 2 has order 1, and an odd p = 1 mod k is
+    = 1 mod 2k).  The rest is trial-divided, each hit fully, by one
+    C-level mod pass over that progression up to min(Y, isqrt(rest)).
+    What is left is then 1 or one prime, as two primes above the root
+    would multiply to more than the rest, and it counts if it is <= Y;
+    where the pass stopped at Y, every prime left lies above Y.
+    """
+    for q in strip:
+        while piece % q == 0:
+            piece //= q
+    candidates = list(_progression(t, min(Y, math.isqrt(piece))))
+    hits = list(compress(candidates, map(not_, map(piece.__mod__, candidates))))
+    for p in hits:
+        while piece % p == 0:
+            piece //= p
+    if 1 < piece <= Y:
+        hits.append(piece)
+    return hits
 
 
 def _term_primes(a: int, n: int, Y: int) -> list[int]:
@@ -228,6 +288,15 @@ def _term_primes(a: int, n: int, Y: int) -> list[int]:
     _MOD_PASS_BITS bits.  The divisors come from trial division of n
     below Y (see _divisor_passes).
 
+    A pass that runs to Y may be cut instead (see _divisor_passes).  It
+    needs only the primes of order d, since every other prime of
+    a^d - 1 has an order e < d dividing d and turns up in the pass of e,
+    or of 2e for an odd e > 1 of an even n.  Those are the primes of the cyclotomic piece Phi_d(a)
+    (arith._cyclotomic) that do not divide d, and _piece_primes finds
+    them by trial division that stops at the square root of the piece
+    rather than at Y.  The pass of 2d that covers an odd d > 1 takes
+    Phi_d(a) and then Phi_2d(a), over its one progression.
+
     When the passes are estimated to visit _SLICE_SHARE times the
     primes <= Y or more, as at a highly composite n, every prime p <= Y
     takes one test instead: p divides a^n - 1 iff
@@ -236,7 +305,7 @@ def _term_primes(a: int, n: int, Y: int) -> list[int]:
     """
     _, primes, _ = _shared_sieve(Y)
     count = bisect_right(primes, Y)
-    passes, visits = _divisor_passes(a, n, Y, primes)
+    passes, cuts, visits = _divisor_passes(a, n, Y, primes)
     if visits >= _SLICE_SHARE * count:
         return _pow_test(a, n, _progression(1, Y))
     d_max = _MOD_PASS_BITS / math.log2(a)
@@ -247,6 +316,9 @@ def _term_primes(a: int, n: int, Y: int) -> list[int]:
             found.update(p for p in candidates if pow(a, d, p) == 1)
         else:
             found.update(compress(candidates, map(not_, map((a**d - 1).__mod__, candidates))))
+    for d, qs in cuts:
+        for k in (d // 2, d) if d % 4 == 2 and d > 2 else (d,):
+            found.update(_piece_primes(_cyclotomic(a, k, [q for q in qs if k % q == 0]), d, qs, Y))
     return sorted(found)
 
 

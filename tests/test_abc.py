@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from smoothlab import abc_triples
 from smoothlab.abc_triples import abc_quality, factor_term
-from smoothlab.arith import FactorizationError, factorize
+from smoothlab.arith import FactorizationError, _cyclotomic, factorize
 from smoothlab.orders import SequenceSpec, order_record
 from smoothlab.smooth import CutoffSpec, membership
 
@@ -79,6 +79,15 @@ class TestFactorTerm:
         got, pieces = factored_pieces(monkeypatch, SequenceSpec(a), n)
         assert pieces == [cyclotomic_value(d, a) for d in divisors(n)]
         assert math.prod(pieces) == a**n - 1 == got.value()
+
+    @given(a=st.integers(min_value=2, max_value=60), d=st.integers(min_value=1, max_value=400))
+    @example(a=2, d=1)
+    @example(a=10, d=8)  # Phi_8(10) = 10001
+    @example(a=3, d=210)  # four primes: sixteen factors a^(d/e) - 1
+    def test_cyclotomic_helper_matches_the_divisor_product(self, a, d):
+        # the Moebius product over the primes of d, which factor_term and
+        # the single-term passes share, against the product over all e | d
+        assert _cyclotomic(a, d, [q for q, _ in factorize(d)]) == cyclotomic_value(d, a)
 
     @pytest.mark.parametrize("a, n", [(2, 600), (3, 240), (5, 120), (10, 72), (12, 90)])
     def test_piece_primes_have_order_d(self, monkeypatch, a, n):

@@ -26,6 +26,7 @@ from smoothlab.smooth import (
 )
 
 from oracles import records_by_enumeration, smooth_part_by_pow, term_prime_log_sum
+from test_abc import cyclotomic_value
 
 
 class TestCutoffSpec:
@@ -73,7 +74,7 @@ def route_estimate(a, n, Y):
     """_divisor_passes' estimate of the primes smooth_part_of_term's
     passes visit at the scan limit Y, and pi(Y)."""
     _, primes, _ = _shared_sieve(Y)
-    return _divisor_passes(a, n, Y, primes)[1], bisect_right(primes, Y)
+    return _divisor_passes(a, n, Y, primes)[2], bisect_right(primes, Y)
 
 
 class TestSmoothPartOfTerm:
@@ -182,6 +183,58 @@ class TestSmoothPartOfTerm:
         smooth_part_of_term(SequenceSpec(a), n, Y)
         assert any(d * math.log2(a) > _MOD_PASS_BITS and size > 0 for d, size in taken)
 
+    @given(
+        a=st.one_of(st.integers(min_value=2, max_value=40), st.just(1 + 3**300)),
+        nY=st.integers(min_value=1, max_value=3000).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=3 * n))),
+    )
+    @example(a=3, nY=(5, 121))  # Phi_5(3) = 11^2
+    @example(a=18, nY=(3, 500))  # Phi_3(18) = 7^3: 7 divided out once would leave 49
+    @example(a=2, nY=(6, 18))  # Phi_6(2) = 3 divides 6
+    @example(a=7, nY=(2, 8))  # Phi_2(7) = 8, a power of the 2 of d = 2
+    @example(a=31, nY=(111, 333))  # Phi_3(31) = 3 * 331: 331 is left over below Y
+    @example(a=10, nY=(10, 9091))  # Phi_10(10) = 9091, left over at Y
+    @example(a=10, nY=(10, 9090))  # and just past it
+    @example(a=10, nY=(529360, 529360))
+    @example(a=6, nY=(840880, 840880))
+    @example(a=5, nY=(895158, 895158))
+    @settings(max_examples=60)
+    def test_cut_passes_find_the_primes_of_the_term(self, a, nY):
+        # with no set-up charge, every pass that runs to Y and whose root
+        # estimate lies below Y is cut, and the full scan is never taken
+        n, Y = nY
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(smooth, "_SLICE_SHARE", math.inf)
+            patch.setattr(smooth, "_FEW_CANDIDATES", 0)
+            assert smooth_part_of_term(SequenceSpec(a), n, Y) == smooth_part_by_pow(a, n, Y)
+
+    @pytest.mark.parametrize("a, n, Y", [(10, 529360, 529360), (6, 840880, 840880), (5, 895158, 895158)])
+    def test_cut_passes_stop_at_the_root_of_their_pieces(self, monkeypatch, a, n, Y):
+        # a cut pass reads its progression only up to the square root of
+        # each piece it takes, Phi_d(a), or Phi_(d/2)(a) and then Phi_d(a)
+        # for d = 2 mod 4; an uncut pass still runs to min(Y, a^d - 1)
+        taken = []
+
+        def recording(t, L):
+            taken.append((t, L))
+            return arith._progression(t, L)
+
+        monkeypatch.setattr(smooth, "_progression", recording)
+        smooth_part_of_term(SequenceSpec(a), n, Y)
+        _, primes, _ = _shared_sieve(Y)
+        passes, cuts, visits = _divisor_passes(a, n, Y, primes)
+        assert visits < _SLICE_SHARE * bisect_right(primes, Y)
+        assert cuts and any(L == Y for _, L in passes)
+        # the uncut passes run first, each to its own L, then each cut
+        # pass stops below the root of each piece it takes
+        assert taken[: len(passes)] == passes
+        roots = [(d, math.isqrt(cyclotomic_value(k, a))) for d, _ in cuts
+                 for k in ([d // 2, d] if d % 4 == 2 and d > 2 else [d])]
+        assert [t for t, _ in taken[len(passes):]] == [d for d, _ in roots]
+        assert all(L <= root for (_, L), (_, root) in zip(taken[len(passes):], roots))
+        if (a, n) == (10, 529360):
+            assert (8, 100) in taken  # Phi_8(10) = 10001 = 73 * 137
+
     def test_prime_n_has_few_candidates(self):
         # every prime of 2^n - 1 is 1 mod n, so none lies below Y = n:
         # the one pass, of d = 1, stops at a - 1 = 1
@@ -192,19 +245,27 @@ class TestSmoothPartOfTerm:
     @pytest.mark.parametrize("a, n", [(10, 720720), (1 + 3**300, 5040)])
     def test_dense_terms_scan_every_prime(self, a, n):
         # nearly every prime <= n is 1 mod some divisor of n, or the
-        # base exceeds Y so that the pass of d = 1 runs to Y
+        # base exceeds Y so that the pass of d = 1 runs to Y; cut passes
+        # leave (10, 720720) at 1.53 pi(Y)
         visits, count = route_estimate(a, n, n)
         assert visits >= _SLICE_SHARE * count
+
+    def test_cut_passes_move_n_off_the_full_scan(self):
+        # 55440 = 2^4 3^2 5 7 11: uncut, its passes read 1.57 pi(Y), past
+        # the full scan's share; cut, they read 1.14 pi(Y)
+        visits, count = route_estimate(2, 55440, 55440)
+        assert visits < 1.2 * count < _SLICE_SHARE * count
+        assert smooth_part_of_term(SequenceSpec(2), 55440, 55440) == smooth_part_by_pow(2, 55440, 55440)
 
     def test_dense_n_stops_listing_its_divisors(self):
         # lcm(1..100) has tens of thousands of divisors below 10^6; the
         # list stops at the pass that brings the estimate to the full
         # scan's share, and each pass counts at least _FEW_CANDIDATES
         _, primes, _ = _shared_sieve(10**6)
-        passes, visits = _divisor_passes(2, math.lcm(*range(1, 101)), 10**6, primes)
+        passes, cuts, visits = _divisor_passes(2, math.lcm(*range(1, 101)), 10**6, primes)
         limit = _SLICE_SHARE * bisect_right(primes, 10**6)
         assert visits >= limit
-        assert (len(passes) - 1) * _FEW_CANDIDATES < limit
+        assert (len(passes) + len(cuts) - 1) * _FEW_CANDIDATES < limit
 
     def test_prime_n_near_2_to_the_100(self):
         # only n's prime factors below Y are sought, by trial division

@@ -9,9 +9,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Factorization, FactorizationError, _cyclotomic, divisors, factorize, radical
+from .arith import Factorization, FactorizationError, _cyclotomic, factorize, radical
 from .orders import SequenceSpec
-from .smooth import POWER_CUTOFF_MAX_BITS, CutoffSpec
+from .smooth import POWER_CUTOFF_MAX_BITS, CutoffSpec, _divisors_upto
 
 
 def factor_term(seq: SequenceSpec, n: int) -> Factorization:
@@ -19,11 +19,14 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
 
     a^n - 1 is the product of Phi_d(a) over the divisors d of n, and a
     prime p not dividing n divides Phi_d(a) only for d = ell_p, so the
-    pieces already keep apart what rho would have to split.  Each piece,
-    taken for ascending d, is Phi_d(a) as the Moebius product over the
-    primes of d (arith._cyclotomic).  A prime of Phi_d(a) divides d or
-    has order d, and then p = 1 mod d, so each piece is trial-divided
-    only by the primes of d and those = 1 mod d (factorize's step).
+    pieces already keep apart what rho would have to split.  The primes
+    of n come from one factorize(n), and its divisors from the walk over
+    them that counting_report takes (smooth._divisors_upto), sorted.
+    Each piece, taken for ascending d, is Phi_d(a) as the Moebius
+    product over the primes of d (arith._cyclotomic).  A prime of
+    Phi_d(a) divides d or has order d, and then p = 1 mod d, so each
+    piece is trial-divided only by the primes of d and those = 1 mod d
+    (factorize's step).
     When a piece exhausts the rho budget, the FactorizationError carries
     every prime found so far as its partial result and that piece's
     unfactored composite as its cofactor.
@@ -37,14 +40,10 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
     if bits > POWER_CUTOFF_MAX_BITS:
         raise ValueError(f"the term {a}^{n} - 1 has up to {bits} bits,"
                          f" above POWER_CUTOFF_MAX_BITS = {POWER_CUTOFF_MAX_BITS}")
-    primes_of_n: list[int] = []  # filled as the ascending divisors reach them
+    factors = factorize(n)
     found: Counter[int] = Counter()  # prime -> exponent summed over pieces
-    for d in divisors(n):
-        primes = [q for q in primes_of_n if d % q == 0]
-        if not primes and d > 1:
-            primes = [d]  # no smaller prime of n divides d, so d is prime
-            primes_of_n.append(d)
-        piece = _cyclotomic(a, d, primes)
+    for d in sorted(_divisors_upto(factors.entries, n)):
+        piece = _cyclotomic(a, d, [q for q, _ in factors if d % q == 0])
         try:
             found.update(dict(factorize(piece, step=d)))
         except FactorizationError as exc:
@@ -83,9 +82,9 @@ def abc_quality(seq: SequenceSpec, n: int, K, c) -> AbcTripleReport:
         raise ValueError("c must satisfy 1 < c < base")
     cutoff = CutoffSpec.linear(K)
     factors = factor_term(seq, n)
-    A = a**n - 1
     C = a**n
-    rad_abc = (1 if A == 1 else factors.radical()) * radical(a)
+    A = C - 1
+    rad_abc = factors.radical() * radical(a)
     quality = n * math.log(a) / math.log(rad_abc)
     s_factors = factors.restrict(cutoff.value_at(n))
     s = s_factors.value()

@@ -153,9 +153,9 @@ def _shared_sieve(limit: int) -> tuple[int, list[int], bytearray]:
 
     Raises ValueError above SIEVE_MAX, before anything is allocated."""
     global _sieve
-    _check_cutoff(limit)
     sieve = _sieve
-    if limit > sieve[0]:
+    if limit > sieve[0]:  # true of every limit above SIEVE_MAX, as the sieve stops there
+        _check_cutoff(limit)
         sieve = _sieve = _sieve_triple(min(max(limit, 2 * sieve[0]), SIEVE_MAX))
     return sieve
 
@@ -402,14 +402,6 @@ def _cyclotomic(a: int, d: int, primes: list[int]) -> int:
         else:
             den *= a**m - 1
     return num // den
-
-
-def divisors(n: int) -> list[int]:
-    """The divisors of n >= 1, ascending, from factorize(n)."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def radical(m: int) -> int:

@@ -34,11 +34,11 @@ class BinomialReport(NamedTuple):
     cutoff_y: int  # 2n
     factors: Factorization
     smooth_part: int  # reconstructed product; equals C(2n, n)
-    reconstruction_ok: bool
     log_s: float
     threshold: float  # n * ln 2
     member: bool  # strict smooth_part > 2^n
     margin: float
+    reconstruction_ok: bool
 
 
 def binomial_membership(n: int) -> BinomialReport:
@@ -71,9 +71,9 @@ def binomial_membership(n: int) -> BinomialReport:
         cutoff_y=2 * n,
         factors=factors,
         smooth_part=s,
-        reconstruction_ok=s == math.comb(2 * n, n),
         log_s=log_s,
         threshold=threshold,
         member=s > 2**n,
         margin=log_s - threshold,
+        reconstruction_ok=s == math.comb(2 * n, n),
     )

@@ -2,10 +2,12 @@
 (default) or CSV, deterministically: identical inputs give byte-identical
 output.  --threads is accepted and ignored.
 
-A result row is its report's fields in declaration order (every report
-is a NamedTuple, and the row is its _asdict()), except for svalue, abc
-and binomial, whose rows are written out here because they print
-integers as strings or leave report fields out."""
+A result row is its report's fields in declaration order: every report
+is a NamedTuple, and the row is its _asdict().  abc leaves s_factors
+out and prints A, B, C, rad_ABC, s_value and t_value as decimal
+strings; binomial leaves factors and smooth_part out.  svalue has no
+report type, so its row is written out field by field here, as are the
+rows no report stands behind: enumerate's n and bounds' closed forms."""
 
 from __future__ import annotations
 
@@ -296,21 +298,10 @@ def abc_cmd(base, n, K, c):
     """Quality of the triple (base^n - 1, 1, base^n) and the smooth/rough
     split of the left side."""
     rep = abc_quality(SequenceSpec(base), n, K, c)
-    params = {"base": base, "n": n, "K": K, "c": c}
-    rows = [{
-        "n": n,
-        "A": str(rep.A),
-        "B": str(rep.B),
-        "C": str(rep.C),
-        "rad_ABC": str(rep.rad_ABC),
-        "quality": rep.quality,
-        "s_value": str(rep.s_value),
-        "t_value": str(rep.t_value),
-        "log_t": rep.log_t,
-        "cofactor_bound": rep.cofactor_bound,
-        "cofactor_below_bound": rep.cofactor_below_bound,
-    }]
-    return params, rows
+    row = rep._asdict()
+    del row["s_factors"]
+    row.update((k, str(row[k])) for k in ("A", "B", "C", "rad_ABC", "s_value", "t_value"))
+    return {"base": base, "n": n, "K": K, "c": c}, [row]
 
 
 @main.command("binomial")
@@ -326,20 +317,12 @@ def binomial_cmd(n, N):
     if N is not None:
         primes_upto(2 * N)  # presize the sieve; past SIEVE_MAX this exits 2 before any row
     ns = [n] if n is not None else range(1, N + 1)
-    params = {"n": n, "N": N}
     rows = []
     for i in ns:
-        rep = binomial_membership(i)
-        rows.append({
-            "n": i,
-            "cutoff_y": rep.cutoff_y,
-            "log_s": rep.log_s,
-            "threshold": rep.threshold,
-            "member": rep.member,
-            "margin": rep.margin,
-            "reconstruction_ok": rep.reconstruction_ok,
-        })
-    return params, rows
+        row = binomial_membership(i)._asdict()
+        del row["factors"], row["smooth_part"]
+        rows.append(row)
+    return {"n": n, "N": N}, rows
 
 
 if __name__ == "__main__":

@@ -236,12 +236,6 @@ def _divisor_passes(
     return passes, cuts, visits
 
 
-def _pow_test(a: int, n: int, candidates) -> list[int]:
-    """The candidates p with a^gcd(n, p - 1) = 1 mod p, in order."""
-    gcd = math.gcd
-    return [p for p in candidates if pow(a, gcd(n, p - 1), p) == 1]
-
-
 def _piece_primes(piece: int, t: int, strip: list[int], Y: int) -> list[int]:
     """The primes p <= Y of order k, taken from the cyclotomic piece
     Phi_k(a), for the pass of t with k = t or t/2; strip holds the
@@ -307,7 +301,8 @@ def _term_primes(a: int, n: int, Y: int) -> list[int]:
     count = bisect_right(primes, Y)
     passes, cuts, visits = _divisor_passes(a, n, Y, primes)
     if visits >= _SLICE_SHARE * count:
-        return _pow_test(a, n, _progression(1, Y))
+        gcd = math.gcd
+        return [p for p in _progression(1, Y) if pow(a, gcd(n, p - 1), p) == 1]
     d_max = _MOD_PASS_BITS / math.log2(a)
     found = set()
     for d, L in passes:

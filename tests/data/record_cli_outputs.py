@@ -77,6 +77,11 @@ COMMANDS = [f"{cmd} --format {fmt}" for cmd in _BOTH_FORMATS for fmt in ("json",
     "snk --base 2 --n 6126120 --K 1 --format csv",
     "snk --base 10 --n 720720 --K 3/2",
     f"snk --base {BIG3} --n 5040 --K 1 --format csv",
+    # edge rows: a = 2, n = 1 makes the triple (1, 1, 2), and n = 1 is the
+    # binomial boundary 2 > 2
+    "abc --base 2 --n 1 --K 1 --c 3/2 --format json",
+    "abc --base 2 --n 1 --K 1 --c 3/2 --format csv",
+    "binomial --n 1 --format csv",
 ]
 
 

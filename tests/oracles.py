@@ -55,6 +55,14 @@ def smooth_part_by_pow(a, n, y):
     return Factorization(tuple(entries))
 
 
+def divisors(n):
+    """The divisors of n >= 1, ascending, from factorize(n)."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
 def term_factorization(seq, n):
     """Factorization of a^n - 1 taken as one number, without splitting
     it into cyclotomic pieces first."""

@@ -45,11 +45,13 @@ def cyclotomic_value(d, a):
 
 
 def factored_pieces(monkeypatch, seq, n):
-    """factor_term(seq, n) and the numbers it handed to factorize."""
+    """factor_term(seq, n) and the pieces it handed to factorize, the
+    calls made with a step; the one without is n's own factorization."""
     pieces = []
 
     def recording(m, *args, **kwargs):
-        pieces.append(m)
+        if "step" in kwargs:
+            pieces.append(m)
         return factorize(m, *args, **kwargs)
 
     monkeypatch.setattr(abc_triples, "factorize", recording)

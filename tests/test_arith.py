@@ -11,7 +11,6 @@ from smoothlab.arith import (
     SIEVE_MAX,
     Factorization,
     _sieve_triple,
-    divisors,
     factorize,
     is_prime,
     radical,
@@ -20,6 +19,7 @@ from smoothlab.arith import (
     smooth_part_oracle,
     valuation,
 )
+from smoothlab.smooth import _divisors_upto
 
 
 def trial_division_is_prime(n):
@@ -87,6 +87,27 @@ class TestSieve:
         monkeypatch.setattr(arith, "_sieve_mark", no_sieve)
         with pytest.raises(ValueError, match="SIEVE_MAX"):
             sieve_primes(SIEVE_MAX + 1)
+
+    def test_progression_checks_the_cutoff_only_when_the_sieve_grows(self, monkeypatch):
+        # the sieve stops at SIEVE_MAX, so a limit it covers needs no
+        # check, and every limit above SIEVE_MAX is one it does not cover
+        checked = []
+        check = arith._check_cutoff
+        monkeypatch.setattr(arith, "_check_cutoff", lambda limit: checked.append(limit) or check(limit))
+        monkeypatch.setattr(arith, "_sieve", _sieve_triple(1000))
+        assert list(arith._progression(12, 100)) == [13, 37, 61, 73, 97]
+        assert len(list(arith._progression(1, 1000))) == 168
+        assert checked == []
+        assert len(list(arith._progression(1, 3000))) == 430  # grows the sieve
+        assert checked == [3000]
+
+        def no_sieve(limit):
+            raise AssertionError("sieved before the limit check")
+
+        monkeypatch.setattr(arith, "_sieve_mark", no_sieve)
+        with pytest.raises(ValueError, match="SIEVE_MAX"):
+            arith._progression(2, SIEVE_MAX + 1)
+        assert checked == [3000, SIEVE_MAX + 1]
 
 
 class TestSmallestPrimeFactors:
@@ -212,8 +233,14 @@ class TestFactorize:
 
 class TestDivisors:
     def test_brute_force(self):
+        # the walk over n's primes that factor_term and counting_report
+        # take, whole and below a cutoff
         for n in range(1, 2001):
-            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+            entries = factorize(n).entries
+            want = [d for d in range(1, n + 1) if n % d == 0]
+            assert sorted(_divisors_upto(entries, n)) == want
+            for y in {1, math.isqrt(n), n // 3, n - 1} - {0}:
+                assert sorted(_divisors_upto(entries, y)) == [d for d in want if d <= y], (n, y)
 
 
 class TestRadical:

@@ -6,6 +6,9 @@ public names.  __future__ imports are exempt.
 
 Every private module-level function or constant of the package is read
 somewhere in src/ or tests/, so a rewrite leaves no dead helper behind.
+Every public function or class of a library module other than cli is
+exported by __init__.py or imported by another library module, so a
+public helper does not outlive its last library caller either.
 
 No library module keeps state at module level: none binds a list, dict,
 set, bytearray or array there, and none has a global statement, except
@@ -96,6 +99,41 @@ def test_every_private_name_is_read():
     dead = [f"{path.name}: {name}" for path in MODULES + [PACKAGE / "__init__.py"]
             for name in private_definitions(path.read_text()) if name not in read]
     assert dead == []
+
+
+def unimported_public_names(sources: dict[str, str]) -> list[str]:
+    """"module.name" for each public module-level function or class in
+    sources (module name -> source, "__init__" for the package) that no
+    other module imports by a from-import of its module, relative or
+    absolute.  Import statements are matched, not names read, as a local
+    variable may share a helper's name."""
+    imported = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.removeprefix(f"{PACKAGE.name}.")
+                imported.update((module, a.name) for a in node.names)
+    return [f"{module}.{node.name}" for module, source in sources.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and (module, node.name) not in imported]
+
+
+def test_finds_a_public_name_no_module_imports():
+    sources = {
+        "__init__": "from .a import Kept, exported\n",
+        "a": "class Kept:\n    pass\ndef exported():\n    pass\ndef used():\n    pass\n"
+             "def dead():\n    pass\ndef _private():\n    pass\nLIMIT = 1\n",
+        "b": "from smoothlab.a import used\nfrom .c import dead\n"
+             "def helper():\n    dead = used()\n    return dead\n",
+    }
+    assert unimported_public_names(sources) == ["a.dead", "b.helper"]
+
+
+def test_every_public_name_is_exported_or_imported():
+    # cli's public names are the command line itself
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert [name for name in unimported_public_names(sources) if not name.startswith("cli.")] == []
 
 
 MUTABLE_CONSTRUCTORS = {"list", "dict", "set", "bytearray", "array"}

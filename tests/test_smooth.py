@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothlab.arith import _shared_sieve, divisors, primes_upto, smooth_part_oracle
+from smoothlab.arith import _shared_sieve, primes_upto, smooth_part_oracle
 from smoothlab.orders import SequenceSpec, order_records, term_valuation_direct
 from smoothlab import arith, orders, smooth
 from smoothlab.smooth import (
@@ -25,7 +25,7 @@ from smoothlab.smooth import (
     smooth_part_of_term,
 )
 
-from oracles import records_by_enumeration, smooth_part_by_pow, term_prime_log_sum
+from oracles import divisors, records_by_enumeration, smooth_part_by_pow, term_prime_log_sum
 from test_abc import cyclotomic_value
 
 

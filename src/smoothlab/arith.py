@@ -2,13 +2,16 @@
 valuations, smooth parts.
 
 Everything here is pure and deterministic.  The only shared state is the
-cached prime sieve behind primes_upto: it starts at 1000, at least
-doubles when a larger cutoff is asked for, and is swapped in whole as
-one (limit, primes, mark) triple, mark being the sieve's byte array with
-a 1 at exactly the primes, so _progression reads the primes of an
-arithmetic progression off it as a C-level slice.  primes_upto hands
-out copies, so no caller can change the shared list.  Cutoffs above
-SIEVE_MAX raise ValueError.
+cached prime sieve _sieve, swapped in whole as one _Sieve: the sieve's
+byte array (mark) with a 1 at exactly the primes, so _progression reads
+the primes of an arithmetic progression off it as a C-level slice;
+cumulative prime counts per block of the mark, so pi(L) is one count
+plus one C-level bytearray.count (one read of a table of pi below
+2^14); and the ascending prime list, built off the mark only as far as
+a walk over every prime has asked.  The mark starts at 1000 and at
+least doubles when a larger cutoff is asked for; cutoffs above
+SIEVE_MAX raise ValueError.  primes_upto hands out copies, so no caller
+can change the shared list.
 smallest_prime_factors builds a fresh least-prime-factor array from that
 sieve, so a whole range of integers factors without trial division.
 """
@@ -17,17 +20,19 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress, repeat, takewhile
+from typing import NamedTuple
 
 # Trial division handles primes up to this bound; beyond it Pollard rho
 # takes over.
 TRIAL_DIVISION_LIMIT = 10**6
 
-# Largest cutoff the shared prime sieve serves.  A sieve this size peaks
-# near 0.37 GB while it is built (7 s, Python 3.11); larger cutoffs are
-# rejected up front instead of exhausting memory.  It also keeps every
+# Largest cutoff the shared prime sieve serves.  Its mark and counts to
+# this size take 1.4 s and peak at 159 MB (VmHWM, 130 MB held after); a
+# walk that then lists every prime below it takes 2.7 s in all and peaks
+# at 381 MB (fresh interpreter, 2-core box, Python 3.11).  Larger cutoffs
+# are rejected up front instead of exhausting memory.  It also keeps every
 # entry of smallest_prime_factors (a prime <= isqrt(SIEVE_MAX) = 10^4)
 # below 2^16, so that array stores unsigned shorts.
 SIEVE_MAX = 10**8
@@ -105,13 +110,15 @@ def _sieve_mark(limit: int) -> bytearray:
     return mark
 
 
-def _marked_primes(mark: bytearray) -> list[int]:
-    """The primes a _sieve_mark marks, ascending: 2, then its odd
-    positions only, which halves the integers made.  The odd positions
-    are read through a memoryview, as a copy of them would add half the
-    mark to the peak (50 MB at SIEVE_MAX)."""
-    primes = [2] if len(mark) > 2 else []
-    primes += compress(range(3, len(mark), 2), memoryview(mark)[3::2])
+def _marked_primes(mark: bytearray, lo: int, hi: int, head: list[int] | tuple = ()) -> list[int]:
+    """A new list of head and then the primes in [lo, hi] that a
+    _sieve_mark marks, ascending, for 0 <= lo and hi < len(mark): 2, then
+    the odd positions only, which halves the integers made.  The odd
+    positions are read through a memoryview, as a copy of them would add
+    half the mark to the peak (50 MB at SIEVE_MAX), and go straight into
+    the new list, with no second list of them."""
+    primes = [*head, 2] if lo <= 2 <= hi else list(head)
+    primes += compress(range(lo | 1, hi + 1, 2), memoryview(mark)[lo | 1 : hi + 1 : 2])
     return primes
 
 
@@ -132,31 +139,88 @@ def sieve_primes(limit: int) -> list[int]:
     _check_cutoff(limit)
     if limit < 2:
         return []
-    return _marked_primes(_sieve_mark(limit))
+    return _marked_primes(_sieve_mark(limit), 0, limit)
 
 
-def _sieve_triple(limit: int) -> tuple[int, list[int], bytearray]:
+# The mark's integers come in blocks of 2^_COUNT_SHIFT, one cumulative
+# prime count per block: pi(L) reads one count and counts the marks of
+# less than one block, a C-level bytearray.count over at most 127 bytes.
+# Over random L <= 10^6, one pi(L) took 0.39 us at blocks of 128, 0.46 at
+# 256 and 0.64 at 512, as that count walks its bytes one by one; at 128
+# it costs about as much as bisect_right over the 78,498 primes below
+# 10^6 and twice as much as over a few hundred, and the counts add 1/32
+# of the mark's bytes and 3-4 ms to a sieve to 10^6, whose mark alone
+# takes about 2 ms (2-core box, Python 3.11).
+_COUNT_SHIFT = 7
+
+# Below this cutoff pi(L) is one read of a table of pi at every integer
+# (array("H"), 32 KB), not a bytearray.count: that count costs twice a
+# bisect_right over the few hundred primes below 3000, and the single
+# terms of small n count there three to four times each.  Over
+# _term_primes at bases 3 and 7 for n = 1..3000 (in-process, interleaved
+# 12 times with a copy that counts by bisect_right over the list), the
+# block counts alone took 1.07-1.11 times as long, and with the table
+# 0.99-1.00.
+_LOW_PI = 1 << 14
+
+
+class _Sieve(NamedTuple):
+    """The shared sieve: mark is _sieve_mark(limit); counts[i] is the
+    number of primes below i << _COUNT_SHIFT, for each block start up to
+    limit + 1, and low[L] = pi(L) for L < min(_LOW_PI, limit + 1);
+    primes lists the primes <= listed, ascending, listed <= limit."""
+
+    limit: int
+    mark: bytearray
+    counts: array
+    low: array
+    listed: int
+    primes: list[int]
+
+    def count(self, L: int) -> int:
+        """pi(L), the number of primes <= L, for 0 <= L <= limit."""
+        if L < _LOW_PI:
+            return self.low[L]
+        i = (L + 1) >> _COUNT_SHIFT
+        return self.counts[i] + self.mark.count(1, i << _COUNT_SHIFT, L + 1)
+
+
+def _marked_sieve(limit: int, listed: int = 0, primes: list[int] | None = None) -> _Sieve:
+    """A _Sieve to limit, with the primes <= listed given, or none."""
     mark = _sieve_mark(limit)
-    return limit, _marked_primes(mark), mark
+    block = 1 << _COUNT_SHIFT
+    counts = array("I", accumulate(
+        map(mark.count, repeat(1), range(0, limit + 2 - block, block), range(block, limit + 2, block)), initial=0))
+    return _Sieve(limit, mark, counts, array("H", accumulate(mark[:_LOW_PI])), listed, primes or [])
 
 
-# (limit, ascending primes <= limit, _sieve_mark(limit)), replaced whole
-# so readers always see a matching triple; two callers growing it at once
-# at worst sieve twice.  Grows by at least doubling, up to SIEVE_MAX.
-_sieve: tuple[int, list[int], bytearray] = _sieve_triple(1000)
+# The one shared state, replaced whole so readers always see a matching
+# sieve; two callers growing it at once at worst sieve or list twice.
+# The mark grows by at least doubling, up to SIEVE_MAX, when any reader
+# asks past it.  The prime list grows, by at least doubling too, only
+# when a walk over every prime asks past it (_progression(1, L),
+# primes_upto), so a reader of the mark or of counts never lists one.
+_sieve: _Sieve = _marked_sieve(1000)
 
 
-def _shared_sieve(limit: int) -> tuple[int, list[int], bytearray]:
-    """The shared (sieved, primes, mark) triple, first grown to cover
-    limit if it stops below; sieved >= limit, so read primes and mark up
-    to limit only.
+def _shared_sieve(limit: int, listed: int = 0) -> _Sieve:
+    """The shared sieve, first grown to cover limit with its mark and
+    listed <= limit with its prime list, where either stops below; its
+    limit and listed are then at least these, so read it up to them
+    only.  The list grows as a copy extended by the primes read off the
+    mark past its end.
 
     Raises ValueError above SIEVE_MAX, before anything is allocated."""
     global _sieve
     sieve = _sieve
-    if limit > sieve[0]:  # true of every limit above SIEVE_MAX, as the sieve stops there
+    if limit > sieve.limit:  # true of every limit above SIEVE_MAX, as the sieve stops there
         _check_cutoff(limit)
-        sieve = _sieve = _sieve_triple(min(max(limit, 2 * sieve[0]), SIEVE_MAX))
+        sieve = _sieve = _marked_sieve(min(max(limit, 2 * sieve.limit), SIEVE_MAX),
+                                       sieve.listed, sieve.primes)
+    if listed > sieve.listed:
+        upto = min(max(listed, 2 * sieve.listed), sieve.limit)
+        primes = _marked_primes(sieve.mark, sieve.listed + 1, upto, sieve.primes)
+        sieve = _sieve = sieve._replace(listed=upto, primes=primes)
     return sieve
 
 
@@ -167,19 +231,19 @@ def primes_upto(limit: int) -> list[int]:
     Raises ValueError above SIEVE_MAX, before anything is allocated."""
     if limit < 2:
         return []
-    _, primes, _ = _shared_sieve(limit)
-    return primes[: bisect_right(primes, limit)]
+    sieve = _shared_sieve(limit, limit)
+    return sieve.primes[: sieve.count(limit)]
 
 
 def _progression(t: int, L: int):
     """Iterator over the primes p <= L with p = 1 mod t, for t >= 1,
     ascending, read lazily off the shared sieve: for t = 1 its prime
-    list, which keeps p = 2, and otherwise a C-level slice of its byte
-    mark stepped by lcm(t, 2), as an odd p = 1 mod t is = 1 mod 2t.
-    Raises ValueError for L above SIEVE_MAX."""
-    _, primes, mark = _shared_sieve(L)
+    list, listed to L first, which keeps p = 2, and otherwise a C-level
+    slice of its byte mark stepped by lcm(t, 2), as an odd p = 1 mod t
+    is = 1 mod 2t.  Raises ValueError for L above SIEVE_MAX."""
     if t == 1:
-        return islice(primes, bisect_right(primes, L))
+        return takewhile(L.__ge__, _shared_sieve(L, L).primes)
+    mark = _shared_sieve(L).mark
     s = t if t % 2 == 0 else 2 * t
     return compress(range(s + 1, L + 1, s), mark[s + 1 : L + 1 : s])
 

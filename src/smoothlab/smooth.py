@@ -6,14 +6,13 @@ quantities behind it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, islice
 from operator import not_
 from typing import NamedTuple
 
-from .arith import SIEVE_MAX, Factorization, _cyclotomic, _progression, _shared_sieve, factorize
+from .arith import SIEVE_MAX, Factorization, _cyclotomic, _progression, _shared_sieve, _Sieve, factorize
 from .orders import SequenceSpec, _lift, _record
 
 # Relative width of the band around the threshold inside which the
@@ -158,24 +157,32 @@ def _scan_limit(a: int, n: int, y: int) -> int:
 def _divisors_below(n: int, Y: int, primes: list[int], found: list[int]):
     """Yield (d, phi(d)) for 1 and the divisors d < Y of n, except the
     odd ones of an even n, built up prime by prime as n's primes below Y
-    turn up in trial division by the ascending sieved primes; so n
-    itself is never factored past Y.  Each prime of n is appended to
-    found as it turns up, so when d is yielded found holds every prime
-    of d."""
+    turn up in trial division by the ascending primes, which list at
+    least those up to min(Y - 1, isqrt(n)); so n itself is never
+    factored past Y.  Each prime of n is appended to found as it turns
+    up, so when d is yielded found holds every prime of d.
+
+    The list can end below the square root of what is left of n, as for
+    a prime n.  What is left then has no prime up to isqrt(n) or below
+    Y: it is 1, n's last prime (above isqrt(n)), or a number whose
+    primes are all >= Y.  The sentinel n after the walk, whose square
+    exceeds anything left, hands it to the q = rest step, which takes it
+    exactly when 1 < rest < Y."""
     yield 1, 1
     divisors = [(1, 1)]
     rest = n
-    for q in primes:
+    for q in chain(primes, (n,)):
         if q * q > rest:
             q = rest  # 1, or the last prime of n
         if q == 1 or q >= Y:
             return
-        k = 0
+        if rest % q:
+            continue
+        rest //= q
+        k = 1
         while rest % q == 0:
             rest //= q
             k += 1
-        if not k:
-            continue
         found.append(q)
         for i in range(len(divisors)):
             d, phi = divisors[i]
@@ -191,7 +198,7 @@ def _divisors_below(n: int, Y: int, primes: list[int], found: list[int]):
 
 
 def _divisor_passes(
-    a: int, n: int, Y: int, primes: list[int]
+    a: int, n: int, Y: int, sieve: _Sieve, count: int
 ) -> tuple[list[tuple[int, int]], list[tuple[int, list[int]]], float]:
     """The passes of smooth_part_of_term, for d = 1 and each divisor
     d < Y of n except an odd one of an even n: the uncut ones, the cut
@@ -209,8 +216,10 @@ def _divisor_passes(
     for a piece of Y^2 or more.  Every pass counts _FEW_CANDIDATES more
     for its own set-up.  The lists stop at the pass that brings the sum
     to _SLICE_SHARE * pi(Y), where the full scan is taken instead, so a
-    dense n never lists all its divisors."""
-    count = bisect_right(primes, Y)
+    dense n never lists all its divisors.  Every pi comes from
+    sieve.count, as the sieve covers Y, and count is pi(Y); its prime
+    list covers min(Y - 1, isqrt(n)) for the divisors."""
+    pi = sieve.count
     limit = _SLICE_SHARE * count
     passes = []
     cuts = []
@@ -219,12 +228,12 @@ def _divisor_passes(
     a_bits, Y_bits = a.bit_length() - 1, Y.bit_length()
     phi_max = 2 * (Y_bits - 1) / log2_a  # past it r >= 2^Y_bits > Y, and a cut visits no fewer
     found = []
-    for d, phi in _divisors_below(n, Y, primes, found):
+    for d, phi in _divisors_below(n, Y, sieve.primes, found):
         if d * a_bits < Y_bits and (L := min(Y, a**d - 1)) < Y:  # else a^d >= 2^(d * a_bits) > Y
             passes.append((d, L))
-            visits += bisect_right(primes, L) / phi + _FEW_CANDIDATES
+            visits += pi(L) / phi + _FEW_CANDIDATES
         elif phi <= phi_max and (cut := (2 if d % 4 == 2 and d > 2 else 1)
-                                 * (bisect_right(primes, 1 << math.ceil(phi * log2_a / 2)) / phi
+                                 * (pi(1 << math.ceil(phi * log2_a / 2)) / phi
                                     + 2 * _FEW_CANDIDATES)) < count / phi:
             cuts.append((d, [q for q in found if d % q == 0]))
             visits += cut + _FEW_CANDIDATES
@@ -297,12 +306,12 @@ def _term_primes(a: int, n: int, Y: int) -> list[int]:
     a^gcd(n, p - 1) = 1 mod p, as ell_p divides p - 1 (the residue is 0
     where p divides the base, and a mod 2 for p = 2).
     """
-    _, primes, _ = _shared_sieve(Y)
-    count = bisect_right(primes, Y)
-    passes, cuts, visits = _divisor_passes(a, n, Y, primes)
+    sieve = _shared_sieve(Y, min(Y - 1, math.isqrt(n)))
+    count = sieve.count(Y)
+    passes, cuts, visits = _divisor_passes(a, n, Y, sieve, count)
     if visits >= _SLICE_SHARE * count:
         gcd = math.gcd
-        return [p for p in _progression(1, Y) if pow(a, gcd(n, p - 1), p) == 1]
+        return [p for p in islice(_shared_sieve(Y, Y).primes, count) if pow(a, gcd(n, p - 1), p) == 1]
     d_max = _MOD_PASS_BITS / math.log2(a)
     found = set()
     for d, L in passes:

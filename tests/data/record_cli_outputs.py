@@ -49,7 +49,7 @@ COMMANDS = [f"{cmd} --format {fmt}" for cmd in _BOTH_FORMATS for fmt in ("json",
     "svalue --base 3 --n 524288 --K 1 --format csv",
     "membership --base 7 --n 100000 --K 3/2 --c 101/100",
     f"svalue --base {BIG3} --n 5040 --K 1",
-    # the 50-digit mode, the one caller of mpmath
+    # the 50-digit mode, evaluated in the standard library's decimal
     "bounds --N 1000000 --p 1000003 --precision high --format json",
     "bounds --N 1000000 --p 1000003 --precision high --format csv",
     # single terms on both sides of the sparse-candidate / all-primes split

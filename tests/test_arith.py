@@ -1,16 +1,20 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smoothlab import arith
 from smoothlab.arith import (
     SIEVE_MAX,
     Factorization,
-    _sieve_triple,
+    _marked_sieve,
     factorize,
     is_prime,
     radical,
@@ -20,6 +24,17 @@ from smoothlab.arith import (
     valuation,
 )
 from smoothlab.smooth import _divisors_upto
+
+
+PRIMES_TO_10_5 = sieve_primes(10**5)
+
+# Limits at the edges of the mark's count blocks and of its table of
+# small counts, and the smallest ones.
+SIEVE_EDGES = sorted({0, 1, 2, 3} | {base + e for base in (128, 256, 384, 99968, arith._LOW_PI)
+                                     for e in (-2, -1, 0, 1)})
+
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(__file__).resolve().parent.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 def trial_division_is_prime(n):
@@ -64,18 +79,20 @@ class TestSieve:
         for limit in range(3001):
             assert sieve_primes(limit) == expected[: bisect_right(expected, limit)]
 
-    def test_shared_triple_reads_odd_positions_only(self):
+    def test_shared_triple_reads_odd_positions_only(self, monkeypatch):
         # the prime list is 2 and then the odd positions of the mark, so
         # the edges sit at small limits and at both parities of the limit
         for limit in [*range(201), *range(10**5 - 3, 10**5 + 4)]:
-            sieved, primes, mark = _sieve_triple(limit)
-            assert sieved == limit and len(mark) == limit + 1
-            assert primes == [m for m in range(limit + 1) if is_prime(m)], limit
+            monkeypatch.setattr(arith, "_sieve", _marked_sieve(limit))
+            sieve = arith._shared_sieve(limit, limit)
+            assert sieve.limit == sieve.listed == limit and len(sieve.mark) == limit + 1
+            assert sieve.primes == [m for m in range(limit + 1) if is_prime(m)], limit
+            assert sieve.count(limit) == len(sieve.primes)
 
     def test_primes_upto_hands_out_a_copy(self, monkeypatch):
         # a caller that changes its list changes no later answer; the
         # fresh shared sieve keeps a corruption from reaching other tests
-        monkeypatch.setattr(arith, "_sieve", _sieve_triple(1000))
+        monkeypatch.setattr(arith, "_sieve", _marked_sieve(1000))
         arith.primes_upto(5000).reverse()
         assert dict(factorize(91)) == {7: 1, 13: 1}
         assert arith.primes_upto(20) == [2, 3, 5, 7, 11, 13, 17, 19]
@@ -94,7 +111,7 @@ class TestSieve:
         checked = []
         check = arith._check_cutoff
         monkeypatch.setattr(arith, "_check_cutoff", lambda limit: checked.append(limit) or check(limit))
-        monkeypatch.setattr(arith, "_sieve", _sieve_triple(1000))
+        monkeypatch.setattr(arith, "_sieve", _marked_sieve(1000))
         assert list(arith._progression(12, 100)) == [13, 37, 61, 73, 97]
         assert len(list(arith._progression(1, 1000))) == 168
         assert checked == []
@@ -108,6 +125,61 @@ class TestSieve:
         with pytest.raises(ValueError, match="SIEVE_MAX"):
             arith._progression(2, SIEVE_MAX + 1)
         assert checked == [3000, SIEVE_MAX + 1]
+
+    @given(
+        start=st.integers(min_value=0, max_value=2000),
+        steps=st.lists(st.tuples(
+            st.sampled_from(["mark", "count", "walk", "upto"]),
+            st.one_of(st.integers(min_value=0, max_value=10**5),
+                      st.sampled_from(SIEVE_EDGES)),
+            st.integers(min_value=2, max_value=60),
+        ), min_size=1, max_size=6),
+    )
+    @example(start=0, steps=[("walk", 0, 2), ("walk", 1, 2), ("walk", 2, 2), ("count", 2, 2)])
+    @example(start=1000, steps=[("mark", 10**5, 6), ("count", 10**5, 2), ("walk", 255, 2),
+                                ("upto", 257, 2), ("walk", 10**5, 2)])
+    @example(start=127, steps=[("count", 127, 2), ("count", 128, 2), ("walk", 129, 2),
+                               ("upto", 383, 2), ("mark", 384, 3)])
+    @settings(max_examples=80, deadline=None)
+    def test_shared_sieve_in_any_growth_order(self, start, steps):
+        # the mark grown by a progression reader, by a count or by a walk,
+        # in any order, and the list grown by walks only: every count,
+        # progression and copy matches a fresh sieve
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arith, "_sieve", _marked_sieve(start))
+            for kind, L, t in steps:
+                before = arith._sieve.listed
+                want = PRIMES_TO_10_5[: bisect_right(PRIMES_TO_10_5, L)]
+                if kind == "mark":
+                    assert list(arith._progression(t, L)) == [p for p in want if p % t == 1]
+                elif kind == "count":
+                    assert arith._shared_sieve(L).count(L) == len(want)
+                elif kind == "walk":
+                    assert list(arith._progression(1, L)) == want
+                else:
+                    assert arith.primes_upto(L) == want
+                sieve = arith._sieve
+                assert sieve.listed <= sieve.limit and len(sieve.mark) == sieve.limit + 1
+                assert sieve.primes == sieve_primes(sieve.listed)
+                if kind in ("mark", "count"):
+                    assert sieve.listed == before  # only a walk lists primes
+
+    def test_single_term_lists_no_prime_past_its_walk(self):
+        # a prime n = 999983 sieves its mark to Y = n but walks only the
+        # primes up to isqrt(n) to find its divisors, so the shared list
+        # stops far below the 78,498 primes up to 10^6
+        code = (
+            "from smoothlab import arith\n"
+            "from smoothlab.cli import main\n"
+            "main(['membership', '--base', '2', '--n', '999983', '--K', '1', '--c', '1.01'],"
+            " standalone_mode=False)\n"
+            "print(arith._sieve.limit, arith._sieve.listed, len(arith._sieve.primes))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=SRC_ENV,
+                                capture_output=True, text=True, check=True)
+        limit, listed, primes = map(int, result.stdout.splitlines()[-1].split())
+        assert limit >= 999983
+        assert listed <= 2000 and primes < 400
 
 
 class TestSmallestPrimeFactors:

@@ -236,6 +236,17 @@ class TestBoundsCommand:
         assert result.exit_code == 2
         assert "does not fit a double" in result.output
 
+    @pytest.mark.parametrize("precision", ["double", "high"])
+    def test_largest_parsed_N(self, runner, precision):
+        # 4300 digits is as long an integer as Python parses by default;
+        # the 50-digit mode takes its logarithms, and N times the bound's
+        # factor still overflows a double
+        result = runner.invoke(main, ["bounds", "--N", "9" * 4300, "--precision", precision])
+        assert result.exit_code == 2
+        assert "does not fit a double" in result.output
+        result = runner.invoke(main, ["bounds", "--N", "9" * 4301, "--precision", precision])
+        assert result.exit_code == 2
+
     def test_density_table(self, runner):
         doc = invoke_json(runner, ["bounds", "--N", "64", "--check-base", "2",
                                    "--K", "1", "--check-c", "6/5"])

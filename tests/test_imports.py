@@ -15,9 +15,12 @@ set, bytearray or array there, and none has a global statement, except
 the shared prime sieve arith._sieve.  So a cache cannot come back
 unnoticed.
 
-No library module imports mpmath at import time either.  Only the
-50-digit mode of bounds uses it, and importing it costs a process about
-30 ms and 4 MB, so it is imported where it is used.
+No library module imports mpmath, at import time or in a function
+body: the 50-digit mode of bounds evaluates in the standard library's
+decimal, which fractions loads anyway, where importing mpmath would cost
+a process about 20 ms.  mpmath is a test dependency only, the oracle the
+50-digit mode is checked against, and a 50-digit call in a fresh
+process leaves it unloaded.
 """
 
 import ast
@@ -215,16 +218,51 @@ def test_finds_an_import_time_import():
     assert imported_at_import_time(source) == {"math", "mpmath", "fractions", "decimal"}
 
 
+def imported_anywhere(source: str) -> set[str]:
+    """Top-level names of every module that source imports, function
+    bodies included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_finds_an_import_in_a_function_body():
+    source = "import math\ndef f():\n    import mpmath.libmp\n    from decimal import Decimal\n"
+    assert imported_anywhere(source) == {"math", "mpmath", "decimal"}
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_does_not_import_mpmath_at_import_time(path):
-    assert "mpmath" not in imported_at_import_time(path.read_text())
+    # nor anywhere else: no library module imports mpmath at all
+    source = path.read_text()
+    assert "mpmath" not in imported_at_import_time(source)
+    assert "mpmath" not in imported_anywhere(source)
 
 
-def test_importing_the_cli_leaves_mpmath_unloaded():
+def mpmath_loaded_after(code: str) -> str:
+    """stdout of code, run in a fresh interpreter on this tree's src,
+    followed by whether mpmath was then loaded."""
     path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     result = subprocess.run(
-        [sys.executable, "-c", "import smoothlab.cli, sys; print('mpmath' in sys.modules)"],
+        [sys.executable, "-c", code + "\nimport sys; print('mpmath' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout == "False\n"
+    return result.stdout
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    assert mpmath_loaded_after("import smoothlab.cli") == "False\n"
+
+
+def test_50_digit_bounds_leave_mpmath_unloaded():
+    out = mpmath_loaded_after(
+        "from smoothlab.cli import main\n"
+        "main(['bounds', '--N', '1000000', '--p', '1000003', '--precision', 'high'],"
+        " standalone_mode=False)"
+    )
+    assert out.endswith('"stewart_bound": 903595.0467104107\n    }\n  ]\n}\nFalse\n')

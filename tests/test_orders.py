@@ -220,11 +220,11 @@ class TestOrderRecordsBatch:
             raise AssertionError(f"smallest_prime_factors({limit}) called")
 
         monkeypatch.setattr(orders, "smallest_prime_factors", refused)
-        monkeypatch.setattr(arith, "_sieve", arith._sieve_triple(1000))
+        monkeypatch.setattr(arith, "_sieve", arith._marked_sieve(1000))
         records = order_records(SequenceSpec(3), arith.SIEVE_MAX + 1)
         with pytest.raises(ValueError, match="SIEVE_MAX"):
             next(records)
-        assert arith._sieve[0] < 10**6
+        assert arith._sieve.limit < 10**6
 
     def test_stream_stores_no_record(self):
         # Deterministic: tracemalloc counts the bytes the stream holds
@@ -270,11 +270,11 @@ class TestOrderRecordsBatch:
             raise AssertionError(f"smallest_prime_factors({limit}) called")
 
         monkeypatch.setattr(orders, "smallest_prime_factors", refused)
-        monkeypatch.setattr(arith, "_sieve", arith._sieve_triple(1000))
+        monkeypatch.setattr(arith, "_sieve", arith._marked_sieve(1000))
         seq = SequenceSpec(2)
         assert order_record(seq, 99999989) == (99999988, 1)
         assert order_record(seq, 3511) == (1755, 2)
-        assert arith._sieve[0] < 10**6
+        assert arith._sieve.limit < 10**6
 
 
 class TestTermValuations:

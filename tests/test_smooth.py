@@ -1,7 +1,6 @@
 import math
 import time
 import tracemalloc
-from bisect import bisect_right
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smoothlab.arith import _shared_sieve, primes_upto, smooth_part_oracle
+from smoothlab.arith import _shared_sieve, factorize, primes_upto, smooth_part_oracle
 from smoothlab.orders import SequenceSpec, order_records, term_valuation_direct
 from smoothlab import arith, orders, smooth
 from smoothlab.smooth import (
@@ -73,8 +72,9 @@ class TestCutoffSpec:
 def route_estimate(a, n, Y):
     """_divisor_passes' estimate of the primes smooth_part_of_term's
     passes visit at the scan limit Y, and pi(Y)."""
-    _, primes, _ = _shared_sieve(Y)
-    return _divisor_passes(a, n, Y, primes)[2], bisect_right(primes, Y)
+    sieve = _shared_sieve(Y, min(Y - 1, math.isqrt(n)))
+    count = sieve.count(Y)
+    return _divisor_passes(a, n, Y, sieve, count)[2], count
 
 
 class TestSmoothPartOfTerm:
@@ -221,9 +221,10 @@ class TestSmoothPartOfTerm:
 
         monkeypatch.setattr(smooth, "_progression", recording)
         smooth_part_of_term(SequenceSpec(a), n, Y)
-        _, primes, _ = _shared_sieve(Y)
-        passes, cuts, visits = _divisor_passes(a, n, Y, primes)
-        assert visits < _SLICE_SHARE * bisect_right(primes, Y)
+        sieve = _shared_sieve(Y, math.isqrt(n))
+        count = sieve.count(Y)
+        passes, cuts, visits = _divisor_passes(a, n, Y, sieve, count)
+        assert visits < _SLICE_SHARE * count
         assert cuts and any(L == Y for _, L in passes)
         # the uncut passes run first, each to its own L, then each cut
         # pass stops below the root of each piece it takes
@@ -261,9 +262,10 @@ class TestSmoothPartOfTerm:
         # lcm(1..100) has tens of thousands of divisors below 10^6; the
         # list stops at the pass that brings the estimate to the full
         # scan's share, and each pass counts at least _FEW_CANDIDATES
-        _, primes, _ = _shared_sieve(10**6)
-        passes, cuts, visits = _divisor_passes(2, math.lcm(*range(1, 101)), 10**6, primes)
-        limit = _SLICE_SHARE * bisect_right(primes, 10**6)
+        sieve = _shared_sieve(10**6, 10**6 - 1)
+        count = sieve.count(10**6)
+        passes, cuts, visits = _divisor_passes(2, math.lcm(*range(1, 101)), 10**6, sieve, count)
+        limit = _SLICE_SHARE * count
         assert visits >= limit
         assert (len(passes) + len(cuts) - 1) * _FEW_CANDIDATES < limit
 
@@ -274,6 +276,35 @@ class TestSmoothPartOfTerm:
         got = smooth_part_of_term(SequenceSpec(10), n, 10**5)
         assert time.perf_counter() - start < 1.0
         assert dict(got) == {3: 2}  # v_3(10^n - 1) = v_3(9) + v_3(n)
+
+    @pytest.mark.parametrize("a, n, Y, want", [
+        (2, 6, 12, {3: 2, 7: 1}),  # the walk to isqrt(6) = 2 ends before 3, the prime past it
+        (2, 22, 100, {3: 1, 23: 1, 89: 1}),  # primes <= isqrt(22): 2, 3; then 11 is left over
+        (2, 11, 100, {23: 1, 89: 1}),  # a prime n below Y is its own last prime
+    ])
+    def test_last_prime_of_n_left_over_by_the_walk(self, monkeypatch, a, n, Y, want):
+        # n = 2p, with p past the listed prefix the divisor walk reads,
+        # or n prime: the pass of d = n still runs.  From a fresh sieve
+        # the list stops at min(Y - 1, isqrt(n)), so it holds no prime
+        # whose square passes what is left of n; the full scan, which
+        # needs no divisor, is turned off
+        monkeypatch.setattr(arith, "_sieve", arith._marked_sieve(1000))
+        monkeypatch.setattr(smooth, "_SLICE_SHARE", math.inf)
+        got = smooth_part_of_term(SequenceSpec(a), n, Y)
+        assert dict(got) == want
+        assert got == smooth_part_by_pow(a, n, Y)
+
+    def test_divisors_below_against_factorize(self):
+        # every divisor d < Y of n, less the odd d > 1 of an even n,
+        # with Y below, at and past n, each with phi(d)
+        for n in range(1, 1200):
+            for Y in {0, 2, n // 2, n, n + 1, 2 * n, n * n}:
+                found = []
+                got = sorted(smooth._divisors_below(n, Y, primes_upto(min(Y - 1, math.isqrt(n))), found))
+                want = [(d, math.prod(q**(k - 1) * (q - 1) for q, k in factorize(d)))
+                        for d in divisors(n) if d < Y and not (d > 1 and d % 2 and n % 2 == 0)]
+                assert got == (want or [(1, 1)]), (n, Y)
+                assert found == [q for q, _ in factorize(n) if q < Y]
 
 
 class TestMembership:

@@ -175,6 +175,26 @@ class TestDyadicPartition:
         assert rep.S2 == 50 * rep.Q2_size
 
 
+# Integers log-uniform up to 10^400: a digit count, then the integer.
+LOG_UNIFORM_TO_10_400 = st.integers(min_value=1, max_value=400).flatmap(
+    lambda k: st.integers(min_value=10 ** (k - 1), max_value=10**k))
+
+
+def assert_50_digits_agree(N, p):
+    """default_y and density_bound at N and stewart_bound at p, in the
+    50-digit mode, each give the double of mpmath's value at 50 digits
+    (in a workdps(50) block) and agree with it within 10^-45."""
+    ln_N, ln_p = mpmath.log(N), mpmath.log(p)
+    pairs = [
+        (default_y(N, "high"), mpmath.exp(ln_N / (156 * mpmath.log(ln_N)))),
+        (density_bound(N, "high"), N * mpmath.exp(-ln_N / (156 * mpmath.log(ln_N)))),
+        (stewart_bound(p, "high"), p * mpmath.exp(-ln_p / (mpmath.mpf("51.9") * mpmath.log(ln_p)))),
+    ]
+    for got, want in pairs:
+        assert float(got) == float(want), (N, p)
+        assert mpmath.almosteq(mpmath.mpf(str(got)), want, rel_eps=mpmath.mpf(10) ** -45), (N, p)
+
+
 class TestBoundFunctions:
     def test_default_y_examples(self):
         assert default_y(3) == pytest.approx(1.0777557881515827, rel=1e-12)
@@ -209,21 +229,18 @@ class TestBoundFunctions:
             assert density_bound(N) < N
 
     def test_high_precision_mode(self):
+        # the 50-digit mode evaluates in decimal; mpmath at 50 digits is
+        # an independent oracle: the same double, and agreement far inside
+        # either side's stated error
         with mpmath.workdps(50):
-            want = 10**6 * mpmath.exp(
-                -mpmath.log(10**6) / (156 * mpmath.log(mpmath.log(10**6)))
-            )
-            got = density_bound(10**6, precision="high")
-            assert mpmath.almosteq(got, want, rel_eps=mpmath.mpf(10) ** -45)
             for x in (17, 10**6, 1000003):
-                ln = mpmath.log(x)
-                assert default_y(x, "high") == mpmath.exp(ln / (156 * mpmath.log(ln)))
-                assert density_bound(x, "high") == x * mpmath.exp(
-                    -ln / (156 * mpmath.log(ln))
-                )
-                assert stewart_bound(x, "high") == x * mpmath.exp(
-                    -ln / (mpmath.mpf("51.9") * mpmath.log(ln))
-                )
+                assert_50_digits_agree(x, x)
+
+    @given(N=LOG_UNIFORM_TO_10_400, p=LOG_UNIFORM_TO_10_400)
+    @settings(max_examples=200, deadline=None)
+    def test_high_precision_mode_against_mpmath(self, N, p):
+        with mpmath.workdps(50):
+            assert_50_digits_agree(max(N, 3), max(p, 17))
 
     def test_rejects_unknown_precision(self):
         with pytest.raises(ValueError):

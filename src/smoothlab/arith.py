@@ -353,19 +353,19 @@ def valuation(m: int, p: int) -> int:
     return e
 
 
-def _rho_split(n: int, budget: int) -> int:
+def _rho_split(n: int) -> int:
     """Brent-cycle Pollard rho with fixed polynomial seeds x^2 + c.
 
     Returns a nontrivial factor of composite odd n, or 0 if every seed
-    exhausts its budget.
+    exhausts its budget, RHO_BUDGET as read at the call.
     """
     iterations = 0  # shared across seeds: the budget caps the whole attempt
     for c in range(1, 32):
-        if iterations >= budget:
+        if iterations >= RHO_BUDGET:
             break
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
-        while g == 1 and iterations < budget:
+        while g == 1 and iterations < RHO_BUDGET:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -389,7 +389,7 @@ def _rho_split(n: int, budget: int) -> int:
     return 0
 
 
-def factorize(m: int, budget: int = RHO_BUDGET, *, step: int = 1) -> Factorization:
+def factorize(m: int, *, step: int = 1) -> Factorization:
     """Complete factorization of m >= 1.
 
     Trial division by sieved primes up to TRIAL_DIVISION_LIMIT, then
@@ -440,7 +440,7 @@ def factorize(m: int, budget: int = RHO_BUDGET, *, step: int = 1) -> Factorizati
                 if is_prime(n):
                     found[n] = found.get(n, 0) + 1
                     continue
-                d = _rho_split(n, budget)
+                d = _rho_split(n)
                 if d == 0:
                     partial = Factorization(tuple(sorted(found.items())))
                     raise FactorizationError(

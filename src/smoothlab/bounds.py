@@ -39,14 +39,24 @@ def _eval(formula, precision: str):
     raise ValueError("precision must be 'double' or 'high'")
 
 
-def default_y(N: int, precision: str = "double"):
-    """exp((1/156) * ln N / ln ln N); needs N >= 3 so ln ln N > 0."""
+def _density_terms(N: int, precision: str):
+    """(default_y(N), density_bound(N)) = (exp(x), N * exp(-x)) with
+    x = ln N / (156 ln ln N) evaluated once; needs N >= 3 so
+    ln ln N > 0."""
     if N <= 2:
         raise ValueError("N must be >= 3")
-    return _eval(
-        lambda exp, log, real: exp(log(N) / (DENSITY_CONSTANT * log(log(N)))),
-        precision,
-    )
+
+    def formula(exp, log, real):
+        ln_N = log(N)
+        x = ln_N / (DENSITY_CONSTANT * log(ln_N))
+        return exp(x), N * exp(-x)
+
+    return _eval(formula, precision)
+
+
+def default_y(N: int, precision: str = "double"):
+    """exp((1/156) * ln N / ln ln N); needs N >= 3 so ln ln N > 0."""
+    return _density_terms(N, precision)[0]
 
 
 def stewart_bound(p: int, precision: str = "double"):
@@ -62,9 +72,4 @@ def stewart_bound(p: int, precision: str = "double"):
 
 def density_bound(N: int, precision: str = "double"):
     """N * exp(-ln N / (156 * ln ln N)) for N >= 3."""
-    if N <= 2:
-        raise ValueError("N must be >= 3")
-    return _eval(
-        lambda exp, log, real: N * exp(-log(N) / (DENSITY_CONSTANT * log(log(N)))),
-        precision,
-    )
+    return _density_terms(N, precision)[1]

@@ -22,7 +22,7 @@ import click
 from .abc_triples import abc_quality
 from .arith import Factorization, FactorizationError, primes_upto
 from .binomial import binomial_membership
-from .bounds import default_y, density_bound, stewart_bound
+from .bounds import _density_terms, default_y, stewart_bound
 from .orders import SequenceSpec
 from .smooth import (
     CutoffSpec,
@@ -268,11 +268,8 @@ def bounds_cmd(N, p, precision, check_base, check_c, K, theta):
     """Threshold function y(N), density bound, optional per-prime bound,
     and the optional observational density table."""
     params = {"N": N, "p": p, "precision": precision}
-    row = {
-        "N": N,
-        "default_y": _double(default_y(N, precision)),
-        "density_bound": _double(density_bound(N, precision)),
-    }
+    y, bound = _density_terms(N, precision)
+    row = {"N": N, "default_y": _double(y), "density_bound": _double(bound)}
     if p is not None:
         row["stewart_bound"] = _double(stewart_bound(p, precision))
     rows = [row]

@@ -2,16 +2,13 @@
 valuations, and two independent routes to v_p(a^n - 1) that never build
 a^n - 1 itself.
 
-The records (p, ell_p, o_p) come by two routes, and neither stores one.
-order_records yields the record of every prime up to a cutoff, in one
-pass over the sieved primes: by lifting the exponent,
-o_p = v_p(a^(p-1) - 1), so one power of a mod p^2 per prime settles
-both the 2-part of ell_p and whether o_p >= 2; only the odd part of
-p - 1 is factored, off one smallest-prime-factor array, and only the
-rare o_p >= 2 (base-a Wieferich primes) is lifted further.
-order_record answers one prime from p - 1 alone: _record strips the
-primes of a multiple of ell_p, here p - 1, while a stays 1 mod p, then
-lifts.
+Every record (p, ell_p, o_p) comes from one step, _records, and none is
+stored.  The step has two inputs for the odd primes of p - 1 it strips:
+order_records' pass over the sieved primes up to a cutoff reads them
+off one smallest-prime-factor array, and a single prime (order_record,
+term_valuation_lte, counting_report's hits) factors them.  The
+lifting-the-exponent route, _lte_sum, sums v_p(a^n - 1) over a range of
+n from a record alone; the direct route, _valuation_direct, reads none.
 """
 
 from __future__ import annotations
@@ -44,35 +41,17 @@ def _lift(a: int, k: int, p: int) -> int:
     return o
 
 
-def _record(a: int, p: int, m: int, primes_of_m) -> tuple[int, int]:
-    """(ell, o) of a prime p not dividing a, from a multiple m of ell_p
-    and an iterable holding every prime of m (others are skipped): each
-    prime q is stripped from e = m while a^(e/q) = 1 mod p, which leaves
-    ell_p, and o = v_p(a^ell - 1) is lifted."""
-    e = m
-    for q in primes_of_m:
-        while e % q == 0 and pow(a, e // q, p) == 1:
-            e //= q
-    return e, _lift(a, e, p)
-
-
-def order_records(seq: SequenceSpec, y: int):
-    """Yield the triple (p, ell, o) of each prime p <= y not dividing
-    the base, in ascending p; the generator stores none of them.
-
-    One pass over the sieved primes.  With p - 1 = 2^v m, m odd, one
-    power w = a^m mod p^2 gives both the 2-part of the order and the
-    lift: ell_p's odd part divides m, so w squared j times turns 1 mod
-    p at j = v_2(ell_p), and o_p >= 2 exactly when that power is 1 mod
-    p^2.  The odd part of ell_p is the order of b = a^(2^v) mod p: each
-    prime q of m, read off one smallest-prime-factor array of the odd
-    parts, is stripped from e = m while b^(e/q) stays 1 mod p.  Only an
-    o_p >= 2 is lifted further, to its exact value.  Raises ValueError
-    for y above SIEVE_MAX on the first next(), before any sieve or
-    array is built."""
-    a = seq.base
-    primes = _progression(1, y)
-    spf = smallest_prime_factors(max(y - 1, 0) // 2)
+def _records(a: int, primes, spf=None):
+    """Yield the triple (p, ell, o) of each prime p of the iterable not
+    dividing a, in its order.  With p - 1 = 2^v m, m odd, one power
+    w = a^m mod p^2 gives both the 2-part of the order and the lift:
+    ell_p's odd part divides m, so w squared j times turns 1 mod p at
+    j = v_2(ell_p), and o_p >= 2 exactly when that power is 1 mod p^2.
+    The odd part of ell_p is the order of b = a^(2^v) mod p: each prime
+    q of m is stripped from e = m while b^(e/q) stays 1 mod p.  Those q
+    are read off spf, a smallest-prime-factor array covering every m,
+    when one is given, and off factorize(m) otherwise.  Only an
+    o_p >= 2 is lifted further, to its exact value."""
     for p in primes:
         if a % p == 0:
             continue
@@ -88,8 +67,9 @@ def order_records(seq: SequenceSpec, y: int):
         # mod p^2 (p = 2 has v = 0): so a^(p-1) = 1 mod p^2, that is
         # o_p = v_p(a^(p-1) - 1) >= 2, iff w == 1
         b = pow(a, 1 << v, p)
+        factors = iter(factorize(m)) if spf is None else None
         while m > 1:
-            q = spf[m] or m  # 0 marks a prime m
+            q = next(factors)[0] if spf is None else (spf[m] or m)  # 0 marks a prime m
             while m % q == 0:
                 m //= q
             while e % q == 0 and pow(b, e // q, p) == 1:
@@ -98,9 +78,21 @@ def order_records(seq: SequenceSpec, y: int):
         yield p, e, _lift(a, e, p) if w == 1 else 1
 
 
+def order_records(seq: SequenceSpec, y: int):
+    """Yield the triple (p, ell, o) of each prime p <= y not dividing
+    the base, in ascending p; the generator stores none of them.
+
+    One pass of _records, with a smallest-prime-factor array of the odd
+    parts of every p - 1.  Raises ValueError for y above SIEVE_MAX on
+    the first next(), before any sieve or array is built."""
+    primes = _progression(1, y)
+    yield from _records(seq.base, primes, smallest_prime_factors(max(y - 1, 0) // 2))
+
+
 def order_record(seq: SequenceSpec, p: int) -> tuple[int, int]:
     """(ell, o) of one prime p: the order of the base mod p and
-    v_p(base^ell - 1), stripped from p - 1 by the primes of p - 1.
+    v_p(base^ell - 1), from _records' step with the odd part of p - 1
+    factored.
 
     Raises ValueError when p is not a prime, divides the base or lies
     above SIEVE_MAX."""
@@ -108,7 +100,8 @@ def order_record(seq: SequenceSpec, p: int) -> tuple[int, int]:
     _check_cutoff(p)
     if not is_prime(p) or a % p == 0:
         raise ValueError(f"{p} is not a prime coprime to the base {a}")
-    return _record(a, p, p - 1, (q for q, _ in factorize(p - 1)))
+    _, ell, o = next(_records(a, (p,)))
+    return ell, o
 
 
 def term_valuation_direct(seq: SequenceSpec, n: int, p: int) -> int:
@@ -138,9 +131,10 @@ def _valuation_direct(a: int, n: int, p: int) -> int:
 
 
 def term_valuation_lte(seq: SequenceSpec, n: int, p: int) -> int:
-    """v_p(base^n - 1) from the order data alone: o_p + v_p(n) when
-    ell_p | n, else 0, and 0 when p divides the base.  For p = 2 (odd
-    base, ell_2 = 1) each even n adds v_2(base + 1) - 1 on top.  Raises
+    """v_p(base^n - 1) from the order data alone: _lte_sum over the
+    one n, with p's record from _records' step.  One call tests p for
+    primality once and factors the odd part of p - 1, by trial division
+    up to its square root; 0 when p divides the base.  Raises
     ValueError for a p that is not prime, as valuation does, and, as
     order_record does, for a p coprime to the base above SIEVE_MAX.
     """
@@ -152,10 +146,21 @@ def term_valuation_lte(seq: SequenceSpec, n: int, p: int) -> int:
     if a % p == 0:
         return 0
     _check_cutoff(p)
-    ell, o = _record(a, p, p - 1, (q for q, _ in factorize(p - 1)))
-    if n % ell != 0:
-        return 0
-    v = o + valuation(n, p)
-    if p == 2 and n % 2 == 0:
-        v += valuation(a + 1, 2) - 1
-    return v
+    _, ell, o = next(_records(a, (p,)))
+    return _lte_sum(a, p, ell, o, n - 1, n)
+
+
+def _lte_sum(a: int, p: int, ell: int, o: int, lo: int, hi: int) -> int:
+    """Sum of v_p(a^n - 1) over lo < n <= hi from p's record (ell, o)
+    alone, by lifting the exponent: o + v_p(n) for each n that ell
+    divides, counted as o * #(multiples of ell) + the sum over k >= 1 of
+    #(multiples of ell * p^k), which stops at the first k with none.
+    For p = 2 (odd a, ell = 1) each even n adds v_2(a + 1) - 1 on top."""
+    total = o * (hi // ell - lo // ell)
+    m = ell * p
+    while count := hi // m - lo // m:
+        total += count
+        m *= p
+    if p == 2:
+        total += (valuation(a + 1, 2) - 1) * (hi // 2 - lo // 2)
+    return total

@@ -13,7 +13,7 @@ from operator import not_
 from typing import NamedTuple
 
 from .arith import SIEVE_MAX, Factorization, _cyclotomic, _progression, _shared_sieve, _Sieve, factorize
-from .orders import SequenceSpec, _lift, _record
+from .orders import SequenceSpec, _lift, _records
 
 # Relative width of the band around the threshold inside which the
 # membership decision is re-made in exact integer arithmetic.
@@ -426,9 +426,8 @@ def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
 
     Those are the primes p <= floor(Kn) dividing a^n - 1, so they are
     found by smooth_part_of_term's passes (_term_primes), without the
-    base's order columns.  For each, ell_p divides gcd(n, p - 1), so
-    orders._record strips the primes of n from it, which leaves ell_p,
-    and lifts o_p = v_p(a^ell_p - 1), as order_record does from p - 1.
+    base's order columns.  Their records (ell_p, o_p) come from the
+    step order_record takes, which factors the odd part of each p - 1.
 
     Each divisor d of n contributes primes with order exactly d; these
     are = 1 mod d (at most floor(Kn/d) + 1 of them below the cutoff) and
@@ -441,9 +440,8 @@ def counting_report(seq: SequenceSpec, K, n: int) -> CountingReport:
     y = CutoffSpec.linear(K).value_at(n)
     a = seq.base
     hits = _term_primes(a, n, _scan_limit(a, n, y))
+    records = list(_records(a, hits))
     factors = factorize(n)
-    primes_of_n = [q for q, _ in factors]
-    records = [(p, *_record(a, p, math.gcd(n, p - 1), primes_of_n)) for p in hits]
     log_sum = math.fsum(math.log(p) for p in hits)
     bound = math.prod(k + 1 for _, k in factors)
     for d in _divisors_upto(factors.entries, y):

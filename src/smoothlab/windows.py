@@ -15,36 +15,14 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .arith import valuation
 from .bounds import density_bound
-from .orders import SequenceSpec, _valuation_direct, order_record, order_records
+from .orders import SequenceSpec, _lte_sum, _valuation_direct, order_record, order_records
 from .smooth import CutoffSpec, _decide, _threshold_base, enumerate_members, smooth_part_of_term
 
 
 def _window(N: int) -> range:
     """Integers n with N/2 < n <= N."""
     return range(N // 2 + 1, N + 1)
-
-
-def _count_multiples_in_window(m: int, N: int) -> int:
-    """#{N/2 < n <= N : m | n}."""
-    return N // m - (N // 2) // m
-
-
-def _lte_window_sum(seq: SequenceSpec, p: int, ell: int, o: int, N: int) -> int:
-    """Sum of v_p(a^n - 1) over the window from p's order data (ell, o)
-    alone: o + v_p(n) for each n that ell divides, counted as o *
-    #(multiples of ell) + sum over k >= 1 of #(multiples of ell * p^k).
-    For p = 2 (odd base, ell = 1) each even n adds v_2(a + 1) - 1 on
-    top."""
-    total = o * _count_multiples_in_window(ell, N)
-    m = ell * p
-    while m <= N:
-        total += _count_multiples_in_window(m, N)
-        m *= p
-    if p == 2:
-        total += (valuation(seq.base + 1, 2) - 1) * _count_multiples_in_window(2, N)
-    return total
 
 
 class WindowReport(NamedTuple):
@@ -81,7 +59,7 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
     log_q = math.fsum(logs)
 
     log_q_by_prime = math.fsum(
-        _lte_window_sum(seq, p, ell, o, N) * math.log(p)
+        _lte_sum(seq.base, p, ell, o, N // 2, N) * math.log(p)
         for p, ell, o in order_records(seq, y)
     )
 
@@ -97,13 +75,13 @@ def window_product(seq: SequenceSpec, K, N: int, c=None) -> WindowReport:
 
 def prime_window_valuation_sum(seq: SequenceSpec, p: int, N: int) -> tuple[int, int]:
     """Sum of v_p(a^n - 1) over the window, both directly and via the
-    order data (_lte_window_sum).  The two must agree exactly.
+    order data (orders._lte_sum).  The two must agree exactly.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     ell, o = order_record(seq, p)  # raises unless p is a prime coprime to the base
     direct = sum(_valuation_direct(seq.base, n, p) for n in _window(N))
-    return direct, _lte_window_sum(seq, p, ell, o, N)
+    return direct, _lte_sum(seq.base, p, ell, o, N // 2, N)
 
 
 def _dyadic_index(ell: int) -> int:

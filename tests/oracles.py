@@ -13,22 +13,24 @@ from smoothlab.smooth import CutoffSpec
 
 def order_by_enumeration(a, p):
     """Least k >= 1 with a^k = 1 mod p, by stepping k."""
-    x = a % p
+    b = x = a % p
     k = 1
     while x != 1:
-        x = x * a % p
+        x = x * b % p
         k += 1
     return k
 
 
-def records_by_enumeration(a, y):
+def records_by_enumeration(a, y, n=None):
     """(p, ell, o) for every prime p <= y not dividing a, ascending, by
-    stepping the order and valuing a^ell - 1 whole."""
+    stepping the order and valuing a^ell - 1 whole; given n, only those
+    with ell | n, so a wide base values only the powers it keeps."""
     records = []
     for p in sieve_primes(y):
         if a % p:
             ell = order_by_enumeration(a, p)
-            records.append((p, ell, valuation(a**ell - 1, p)))
+            if n is None or n % ell == 0:
+                records.append((p, ell, valuation(a**ell - 1, p)))
     return records
 
 

@@ -1,12 +1,12 @@
-import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from smoothlab import abc_triples
+from smoothlab import abc_triples, arith
 from smoothlab.abc_triples import abc_quality, factor_term
 from smoothlab.arith import FactorizationError, _cyclotomic, factorize
 from smoothlab.orders import SequenceSpec, order_record
@@ -110,7 +110,7 @@ class TestFactorTerm:
         # 3^65 - 1: Phi_1(3) = 2, Phi_5(3) = 11^2 and Phi_13(3) = 797161
         # factor by trial division; Phi_65(3) = 131 * 3701101 *
         # 110133112994711 leaves a composite rho cannot split in 100 steps.
-        monkeypatch.setattr(abc_triples, "factorize", functools.partial(factorize, budget=100))
+        monkeypatch.setattr(arith, "RHO_BUDGET", 100)
         with pytest.raises(FactorizationError) as exc:
             factor_term(SequenceSpec(3), 65)
         partial, cofactor = exc.value.partial, exc.value.cofactor
@@ -125,9 +125,11 @@ class TestFactorTerm:
 
 
 def factorize_outcome(m, budget, **kwargs):
-    """factorize's result, or the partial result and cofactor it raised."""
+    """factorize's result under this rho budget, or the partial result
+    and cofactor it raised."""
     try:
-        return factorize(m, budget, **kwargs)
+        with mock.patch.object(arith, "RHO_BUDGET", budget):
+            return factorize(m, **kwargs)
     except FactorizationError as exc:
         return exc.partial, exc.cofactor
 
@@ -147,13 +149,14 @@ class TestStepPromise:
         piece = cyclotomic_value(d, a)
         assert factorize_outcome(piece, budget, step=d) == factorize_outcome(piece, budget)
 
-    def test_examples_take_their_paths(self):
+    def test_examples_take_their_paths(self, monkeypatch):
         # 3 | Phi_6(2) with 3 | 6; Phi_37(3) is above 10^12 with no prime
         # below 10^6; Phi_65(3) leaves rho a cofactor it cannot split in 100
         assert dict(factorize(cyclotomic_value(6, 2), step=6)) == {3: 1}
         assert dict(factorize(cyclotomic_value(37, 3), step=37)) == {13097927: 1, 17189128703: 1}
+        monkeypatch.setattr(arith, "RHO_BUDGET", 100)
         with pytest.raises(FactorizationError) as exc:
-            factorize(cyclotomic_value(65, 3), budget=100, step=65)
+            factorize(cyclotomic_value(65, 3), step=65)
         assert dict(exc.value.partial) == {131: 1}
         assert exc.value.cofactor == 3701101 * 110133112994711
 

@@ -279,13 +279,14 @@ class TestFactorize:
         primes = [p for p, _ in f]
         assert primes == sorted(primes)
 
-    def test_budget_exhaustion_reports_cofactor(self):
+    def test_budget_exhaustion_reports_cofactor(self, monkeypatch):
         from smoothlab.arith import FactorizationError
 
         # 18-digit primes: far beyond a 100-iteration rho budget
         p, q = 999999999999999989, 999999999999999967
+        monkeypatch.setattr(arith, "RHO_BUDGET", 100)
         with pytest.raises(FactorizationError) as exc:
-            factorize(7 * p * q, budget=100)
+            factorize(7 * p * q)
         assert exc.value.cofactor == p * q
         assert dict(exc.value.partial) == {7: 1}
 

@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import json
 import math
@@ -221,6 +220,24 @@ class TestDyadicCommand:
 
 
 class TestBoundsCommand:
+    def test_high_precision_takes_ln_N_and_ln_ln_N_once(self, runner, monkeypatch):
+        # default_y = exp(x) and density_bound = N * exp(-x) share one x
+        from smoothlab import bounds
+
+        logs = []
+        evaluate = bounds._eval
+
+        def counted(formula, precision):
+            def counting(exp, log, real):
+                return formula(exp, lambda v: logs.append(v) or log(v), real)
+            return evaluate(counting, precision)
+
+        monkeypatch.setattr(bounds, "_eval", counted)
+        doc = invoke_json(runner, ["bounds", "--N", "1000000", "--precision", "high"])
+        assert len(logs) == 2
+        row = doc["results"][0]
+        assert row["density_bound"] == pytest.approx(966835.0902104966, rel=1e-9)
+
     def test_example(self, runner):
         doc = invoke_json(runner, ["bounds", "--N", "1000000"])
         row = doc["results"][0]
@@ -340,10 +357,9 @@ class TestFactoringFailureExit:
     def test_cofactor_is_the_failing_piece(self, runner, monkeypatch):
         # 3^65 - 1 fails on its last cyclotomic piece, Phi_65(3), and
         # names only that piece's unfactored part
-        from smoothlab import abc_triples
-        from smoothlab.arith import factorize
+        from smoothlab import arith
 
-        monkeypatch.setattr(abc_triples, "factorize", functools.partial(factorize, budget=100))
+        monkeypatch.setattr(arith, "RHO_BUDGET", 100)
         result = runner.invoke(main, ["abc", "--base", "3", "--n", "65", "--K", "1",
                                       "--c", "3/2"])
         assert result.exit_code == 3

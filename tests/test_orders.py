@@ -2,7 +2,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smoothlab import arith, orders
@@ -305,6 +305,25 @@ class TestTermValuations:
         assert arith.is_prime(arith.SIEVE_MAX + 7)
         with pytest.raises(ValueError, match="SIEVE_MAX"):
             term_valuation_lte(SequenceSpec(2), 1, arith.SIEVE_MAX + 7)
+
+    @given(
+        a=st.integers(min_value=2, max_value=40),
+        p=st.sampled_from([2, 3, 5, 7, 11, 13, 1093]),
+        lo=st.integers(min_value=0, max_value=2000),
+        hi=st.integers(min_value=0, max_value=2000),
+    )
+    @example(a=5, p=2, lo=0, hi=2000)  # an odd base = 1 mod 4
+    @example(a=7, p=2, lo=0, hi=2000)  # an odd base = 3 mod 4
+    @example(a=31, p=2, lo=999, hi=1024)  # v_2(a + 1) = 5, 2^10 in range
+    @example(a=3, p=11, lo=0, hi=2000)  # o = 2, and 11 * ell = 55 in range
+    @example(a=2, p=1093, lo=363, hi=1456)  # o = 2, ell = 364
+    @settings(max_examples=60, deadline=None)
+    def test_lte_range_sum_equals_direct_sum(self, a, p, lo, hi):
+        assume(a % p != 0)
+        lo, hi = min(lo, hi), max(lo, hi)
+        ell, o = order_record(SequenceSpec(a), p)
+        direct = sum(orders._valuation_direct(a, n, p) for n in range(lo + 1, hi + 1))
+        assert orders._lte_sum(a, p, ell, o, lo, hi) == direct
 
     def test_triple_equality_small(self):
         for a in (2, 3, 12):

@@ -5,11 +5,10 @@ decomposition a^n - 1 = s * t, and the quality of the triple
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import Factorization, FactorizationError, _cyclotomic, factorize, radical
+from .arith import TRIAL_DIVISION_LIMIT, Factorization, _cyclotomic, _split, _trial_divide, factorize, radical
 from .orders import SequenceSpec
 from .smooth import POWER_CUTOFF_MAX_BITS, CutoffSpec, _divisors_upto
 
@@ -23,13 +22,12 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
     of n come from one factorize(n), and its divisors from the walk over
     them that counting_report takes (smooth._divisors_upto), sorted.
     Each piece, taken for ascending d, is Phi_d(a) as the Moebius
-    product over the primes of d (arith._cyclotomic).  A prime of
-    Phi_d(a) divides d or has order d, and then p = 1 mod d, so each
-    piece is trial-divided only by the primes of d and those = 1 mod d
-    (factorize's step).
-    When a piece exhausts the rho budget, the FactorizationError carries
-    every prime found so far as its partial result and that piece's
-    unfactored composite as its cofactor.
+    product over the primes of d (arith._cyclotomic), trial-divided by
+    the primes of d and those = 1 mod d (arith._trial_divide) and then
+    split as factorize splits its rest, the exponents summed over the
+    pieces.  When a piece exhausts the rho budget, the
+    FactorizationError carries every prime found so far as its partial
+    result and that piece's unfactored composite as its cofactor.
     Raises ValueError, before any power of a is built, for a term of
     more than POWER_CUTOFF_MAX_BITS bits counted as n * bits(a).
     """
@@ -41,16 +39,12 @@ def factor_term(seq: SequenceSpec, n: int) -> Factorization:
         raise ValueError(f"the term {a}^{n} - 1 has up to {bits} bits,"
                          f" above POWER_CUTOFF_MAX_BITS = {POWER_CUTOFF_MAX_BITS}")
     factors = factorize(n)
-    found: Counter[int] = Counter()  # prime -> exponent summed over pieces
+    found: dict[int, int] = {}  # prime -> exponent summed over pieces
     for d in sorted(_divisors_upto(factors.entries, n)):
-        piece = _cyclotomic(a, d, [q for q, _ in factors if d % q == 0])
-        try:
-            found.update(dict(factorize(piece, step=d)))
-        except FactorizationError as exc:
-            found.update(dict(exc.partial))
-            partial = Factorization(tuple(sorted(found.items())))
-            raise FactorizationError(str(exc), partial, exc.cofactor) from exc
-    return Factorization(tuple(sorted(found.items())))
+        qs = [q for q, _ in factors if d % q == 0]
+        rest = _trial_divide(_cyclotomic(a, d, qs), d, qs, TRIAL_DIVISION_LIMIT, found)
+        term = _split(rest, found)  # the pieces so far, as found holds them all
+    return term
 
 
 class AbcTripleReport(NamedTuple):

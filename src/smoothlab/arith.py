@@ -14,6 +14,10 @@ SIEVE_MAX raise ValueError.  primes_upto hands out copies, so no caller
 can change the shared list.
 smallest_prime_factors builds a fresh least-prime-factor array from that
 sieve, so a whole range of integers factors without trial division.
+All other factoring takes one trial-division walk, _trial_divide, over
+the primes a cyclotomic value Phi_t(a) can hold (every prime for t = 1):
+factorize, abc's pieces and the single-term cut passes share it, and
+_split certifies or splits with rho what the first two leave.
 """
 
 from __future__ import annotations
@@ -389,38 +393,21 @@ def _rho_split(n: int) -> int:
     return 0
 
 
-def factorize(m: int, *, step: int = 1) -> Factorization:
-    """Complete factorization of m >= 1.
+def _trial_divide(m: int, t: int, primes_of_t, cap: int, found: dict[int, int]) -> int:
+    """What is left of m >= 1 once trial division takes out, each fully,
+    the given primes of t >= 1, ascending, and then the primes
+    p = 1 mod lcm(t, 2) (every prime for t = 1) up to min(cap, isqrt(m));
+    each exponent is added into found.
 
-    Trial division by sieved primes up to TRIAL_DIVISION_LIMIT, then
-    deterministic-seeded Pollard rho; every cofactor is certified by
-    is_prime, a proof of primality below psi_13 (about 3.3e24) and
-    Baillie-PSW above it.  Raises FactorizationError (with the partial
-    result) if rho exhausts its budget.
-
-    step >= 1 is the caller's promise that every prime factor of m
-    divides step or is = 1 mod step, as for a cyclotomic value
-    Phi_d(a) with step = d.  Trial division then tries only the primes
-    of gcd(m, step), all below step + 1, and the primes = 1 mod
-    lcm(step, 2) (an odd prime = 1 mod step is = 1 mod 2 step), read
-    off the sieve's byte mark as one C-level slice.  These are, in
-    ascending order, the only primes of the full list that could
-    divide m, so the result, and a FactorizationError's partial result
-    and cofactor, stay as they are without step; a broken promise can
-    leave a composite survivor below the square of the trial bound
-    reported as prime.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    if m == 1:
-        return Factorization()
-    found: dict[int, int] = {}
+    A prime of the cyclotomic value Phi_t(a) divides t or has order t,
+    and then p = 1 mod t, so an odd one is = 1 mod 2t (the rule the
+    Cunningham tables use); for t = 1 every prime qualifies.  For such
+    an m the primes tried are, ascending, all that can divide it, so the
+    walk stops once p^2 passes what is left, which is then 1 or a prime.
+    Where the walk runs out first, the rest has no prime
+    <= min(cap, isqrt(m)): it is 1 or a prime unless cap < isqrt(m)."""
     rest = m
-    bound = min(math.isqrt(rest), TRIAL_DIVISION_LIMIT)
-    own = [q for q, _ in factorize(math.gcd(m, step)) if q <= bound]
-    for p in chain(own, _progression(step, bound)):
+    for p in chain(primes_of_t, _progression(t, min(cap, math.isqrt(m)))):
         if p * p > rest:
             break
         if rest % p == 0:
@@ -428,10 +415,18 @@ def factorize(m: int, *, step: int = 1) -> Factorization:
             while rest % p == 0:
                 rest //= p
                 e += 1
-            found[p] = e
+            found[p] = found.get(p, 0) + e
+    return rest
+
+
+def _split(rest: int, found: dict[int, int]) -> Factorization:
+    """found with the primes of rest added, as a Factorization, where
+    rest is what _trial_divide left with cap TRIAL_DIVISION_LIMIT: below
+    its square the rest is 1 or a prime; above it is_prime certifies a
+    prime and Pollard rho splits a composite.  Raises FactorizationError,
+    with found as the partial result, when rho exhausts its budget."""
     if rest > 1:
         if rest <= TRIAL_DIVISION_LIMIT**2 or is_prime(rest):
-            # below the square of the trial bound any survivor is prime
             found[rest] = found.get(rest, 0) + 1
         else:
             stack = [rest]
@@ -449,6 +444,21 @@ def factorize(m: int, *, step: int = 1) -> Factorization:
                 stack.append(d)
                 stack.append(n // d)
     return Factorization(tuple(sorted(found.items())))
+
+
+def factorize(m: int) -> Factorization:
+    """Complete factorization of m >= 1.
+
+    Trial division by sieved primes up to TRIAL_DIVISION_LIMIT, then
+    deterministic-seeded Pollard rho; every cofactor is certified by
+    is_prime, a proof of primality below psi_13 (about 3.3e24) and
+    Baillie-PSW above it.  Raises FactorizationError (with the partial
+    result) if rho exhausts its budget.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    found: dict[int, int] = {}
+    return _split(_trial_divide(m, 1, (), TRIAL_DIVISION_LIMIT, found), found)
 
 
 def _cyclotomic(a: int, d: int, primes: list[int]) -> int:

@@ -12,7 +12,8 @@ from itertools import chain, compress, islice
 from operator import not_
 from typing import NamedTuple
 
-from .arith import SIEVE_MAX, Factorization, _cyclotomic, _progression, _shared_sieve, _Sieve, factorize
+from .arith import (SIEVE_MAX, Factorization, _cyclotomic, _progression, _shared_sieve, _Sieve, _trial_divide,
+                    factorize)
 from .orders import SequenceSpec, _lift, _records
 
 # Relative width of the band around the threshold inside which the
@@ -43,8 +44,8 @@ _SLICE_SHARE = 1.5
 # Over bases 2, 3, 5, 6, 7, 10 at 12 n in 5040..10^6 (y = n, best of 5,
 # timed interleaved with another copy of the module, 2-core box, Python
 # 3.11), a cap of 256 bits took 1.014 and one of 4096 bits 1.004 times
-# as long as 1024.  Measured on uncut passes; a cut pass divides its
-# piece, about Y^2 at most, and never comes near the cap.
+# as long as 1024.  Measured on uncut passes; a cut pass trial-divides
+# its piece (arith._trial_divide) and takes no mod pass.
 _MOD_PASS_BITS = 1024
 
 # What setting up one pass costs, its progression read off the sieve
@@ -55,10 +56,11 @@ _MOD_PASS_BITS = 1024
 # 1.005-1.008 with 16 at 1.5; 8 gave 1.002-1.004 at 1.25 but up to 1.011
 # above n = 3000, and 32 gave 1.014-1.019 at 2.0.  A cut pass is charged
 # it twice more per piece, once for building Phi_d(a) and once for the
-# piece's own progression: at Y = 3000 (bases 2, 3, 10, each d < 120
-# with a^d - 1 > Y, best of 5, CPU time of the thread, 2-core box, Python 3.11), an uncut
-# pass cost 12-13 visited primes beyond its visits, and a cut piece
-# 33-40 all told.
+# trial division's own progression: at Y = 3000 (bases 2, 3, 10, each
+# d < 120 with a^d - 1 > Y, best of 5, CPU time of the thread, 2-core
+# box, Python 3.11), an uncut pass cost 12-13 visited primes beyond its
+# visits, and a cut piece 33-40 all told, measured when a piece was
+# divided by one C-level mod pass to its root.
 _FEW_CANDIDATES = 16
 
 # Most bits of an integer the package builds from an exponent: of the
@@ -207,16 +209,17 @@ def _divisor_passes(
     An uncut pass (d, L) runs over the primes p = 1 mod lcm(d, 2) up to
     L = min(Y, a^d - 1), counted as pi(L) / phi(d).  A pass that runs to
     Y may be cut instead, (d, the primes of d): it trial-divides each of
-    its cyclotomic pieces only up to the piece's square root (see
-    _term_primes).  Each piece is counted as pi(min(Y, r)) / phi(d),
-    with r = 2^ceil(phi(d) * log2(a) / 2) standing for the root of a
-    piece of about a^phi(d), plus 2 * _FEW_CANDIDATES: one set-up for
-    building the piece and one for reading its progression.  A pass is
-    cut where that count is the smaller, so never where r passes Y, as
-    for a piece of Y^2 or more.  Every pass counts _FEW_CANDIDATES more
-    for its own set-up.  The lists stop at the pass that brings the sum
-    to _SLICE_SHARE * pi(Y), where the full scan is taken instead, so a
-    dense n never lists all its divisors.  Every pi comes from
+    its cyclotomic pieces, stopping by the piece's square root (see
+    _term_primes).  Each piece is priced as a walk to that root,
+    pi(min(Y, r)) / phi(d) with r = 2^ceil(phi(d) * log2(a) / 2) for a
+    piece of about a^phi(d), though the walk may stop sooner, plus
+    2 * _FEW_CANDIDATES: one set-up for building the piece and one for
+    reading its progression.  A pass is cut where that count is the
+    smaller, so never where r passes Y, as for a piece of Y^2 or more.
+    Every pass counts _FEW_CANDIDATES more for its own set-up.  The
+    lists stop at the pass that brings the sum to _SLICE_SHARE * pi(Y),
+    where the full scan is taken instead, so a dense n never lists all
+    its divisors.  Every pi comes from
     sieve.count, as the sieve covers Y, and count is pi(Y); its prime
     list covers min(Y - 1, isqrt(n)) for the divisors."""
     pi = sieve.count
@@ -245,34 +248,6 @@ def _divisor_passes(
     return passes, cuts, visits
 
 
-def _piece_primes(piece: int, t: int, strip: list[int], Y: int) -> list[int]:
-    """The primes p <= Y of order k, taken from the cyclotomic piece
-    Phi_k(a), for the pass of t with k = t or t/2; strip holds the
-    primes of t.
-
-    A prime of Phi_k(a) either divides k or has order k, and then
-    p = 1 mod k.  So once the primes of t are stripped, every prime of
-    the rest lies in the progression of the pass of t, the primes
-    p = 1 mod lcm(t, 2) (p = 2 has order 1, and an odd p = 1 mod k is
-    = 1 mod 2k).  The rest is trial-divided, each hit fully, by one
-    C-level mod pass over that progression up to min(Y, isqrt(rest)).
-    What is left is then 1 or one prime, as two primes above the root
-    would multiply to more than the rest, and it counts if it is <= Y;
-    where the pass stopped at Y, every prime left lies above Y.
-    """
-    for q in strip:
-        while piece % q == 0:
-            piece //= q
-    candidates = list(_progression(t, min(Y, math.isqrt(piece))))
-    hits = list(compress(candidates, map(not_, map(piece.__mod__, candidates))))
-    for p in hits:
-        while piece % p == 0:
-            piece //= p
-    if 1 < piece <= Y:
-        hits.append(piece)
-    return hits
-
-
 def _term_primes(a: int, n: int, Y: int) -> list[int]:
     """The primes p <= Y dividing a^n - 1, ascending.
 
@@ -294,11 +269,14 @@ def _term_primes(a: int, n: int, Y: int) -> list[int]:
     A pass that runs to Y may be cut instead (see _divisor_passes).  It
     needs only the primes of order d, since every other prime of
     a^d - 1 has an order e < d dividing d and turns up in the pass of e,
-    or of 2e for an odd e > 1 of an even n.  Those are the primes of the cyclotomic piece Phi_d(a)
-    (arith._cyclotomic) that do not divide d, and _piece_primes finds
-    them by trial division that stops at the square root of the piece
-    rather than at Y.  The pass of 2d that covers an odd d > 1 takes
-    Phi_d(a) and then Phi_2d(a), over its one progression.
+    or of 2e for an odd e > 1 of an even n.  Those are the primes of the
+    cyclotomic piece Phi_d(a) (arith._cyclotomic) that do not divide d,
+    and arith._trial_divide takes them out with the primes of d, walking
+    the primes = 1 mod lcm(d, 2) up to min(Y, root of the piece) and
+    stopping once p^2 passes what is left; that rest counts if it lies
+    in (1, Y], as it is then a prime.  The pass of 2d that covers an odd
+    d > 1 takes Phi_d(a) and then Phi_2d(a), over one progression, as
+    the primes = 1 mod 2d are those of the odd d.
 
     When the passes are estimated to visit _SLICE_SHARE times the
     primes <= Y or more, as at a highly composite n, every prime p <= Y
@@ -320,10 +298,14 @@ def _term_primes(a: int, n: int, Y: int) -> list[int]:
             found.update(p for p in candidates if pow(a, d, p) == 1)
         else:
             found.update(compress(candidates, map(not_, map((a**d - 1).__mod__, candidates))))
+    hits: dict[int, int] = {}  # the primes trial division finds in the cut pieces
     for d, qs in cuts:
         for k in (d // 2, d) if d % 4 == 2 and d > 2 else (d,):
-            found.update(_piece_primes(_cyclotomic(a, k, [q for q in qs if k % q == 0]), d, qs, Y))
-    return sorted(found)
+            ks = [q for q in qs if k % q == 0]
+            rest = _trial_divide(_cyclotomic(a, k, ks), k, ks, Y, hits)
+            if 1 < rest <= Y:
+                found.add(rest)
+    return sorted(found.union(hits))
 
 
 def smooth_part_of_term(seq: SequenceSpec, n: int, y: int) -> Factorization:

@@ -82,6 +82,16 @@ COMMANDS = [f"{cmd} --format {fmt}" for cmd in _BOTH_FORMATS for fmt in ("json",
     "abc --base 2 --n 1 --K 1 --c 3/2 --format json",
     "abc --base 2 --n 1 --K 1 --c 3/2 --format csv",
     "binomial --n 1 --format csv",
+    # cut passes whose trial division stops below Y
+    "svalue --base 10 --n 529360 --K 1",
+    "svalue --base 6 --n 840880 --K 1",
+    "membership --base 5 --n 895158 --K 1 --c 1.01",
+    # Phi_37(3) = 13097927 * 17189128703, past 10^12 and split by rho
+    "abc --base 3 --n 37 --K 1 --c 1.01",
+    # 3 divides both Phi_1(10) and Phi_3(10)
+    "abc --base 10 --n 3 --K 1 --c 1.01",
+    # 131 found by trial division, and a 20-digit cofactor split by rho
+    "abc --base 3 --n 65 --K 1 --c 1.01",
 ]
 
 

@@ -1,8 +1,8 @@
 """Slow, independent reference routes the tests compare the library with.
 
-Each one works on the definition alone: modular arithmetic, or one
-factorize call on the whole number, never the order records, their
-tables or the cyclotomic split.
+Each one works on the definition alone: modular arithmetic, one
+factorize call on the whole number, or a product over every divisor,
+never the order records, their tables or the cyclotomic split.
 """
 
 import math
@@ -63,6 +63,32 @@ def divisors(n):
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def mobius(m):
+    """mu(m) for m >= 1, by trial division with every integer."""
+    mu, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
+
+
+def cyclotomic_value(d, a):
+    """Phi_d(a) as the product of (a^e - 1)^mu(d/e) over e | d."""
+    num = den = 1
+    for e in divisors(d):
+        mu = mobius(d // e)
+        if mu == 1:
+            num *= a**e - 1
+        elif mu == -1:
+            den *= a**e - 1
+    assert num % den == 0
+    return num // den
 
 
 def term_factorization(seq, n):

@@ -8,53 +8,32 @@ from hypothesis import strategies as st
 
 from smoothlab import abc_triples, arith
 from smoothlab.abc_triples import abc_quality, factor_term
-from smoothlab.arith import FactorizationError, _cyclotomic, factorize
+from smoothlab.arith import (
+    TRIAL_DIVISION_LIMIT,
+    FactorizationError,
+    _cyclotomic,
+    _split,
+    _trial_divide,
+    factorize,
+    is_prime,
+    primes_upto,
+    valuation,
+)
 from smoothlab.orders import SequenceSpec, order_record
 from smoothlab.smooth import CutoffSpec, membership
 
-from oracles import term_factorization
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def mobius(m):
-    mu, p = 1, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if m > 1 else mu
-
-
-def cyclotomic_value(d, a):
-    """Phi_d(a) as the product of (a^e - 1)^mu(d/e) over e | d."""
-    num = den = 1
-    for e in divisors(d):
-        mu = mobius(d // e)
-        if mu == 1:
-            num *= a**e - 1
-        elif mu == -1:
-            den *= a**e - 1
-    assert num % den == 0
-    return num // den
+from oracles import cyclotomic_value, divisors, term_factorization
 
 
 def factored_pieces(monkeypatch, seq, n):
-    """factor_term(seq, n) and the pieces it handed to factorize, the
-    calls made with a step; the one without is n's own factorization."""
+    """factor_term(seq, n) and the cyclotomic pieces it built, in order."""
     pieces = []
 
-    def recording(m, *args, **kwargs):
-        if "step" in kwargs:
-            pieces.append(m)
-        return factorize(m, *args, **kwargs)
+    def recording(*args):
+        pieces.append(_cyclotomic(*args))
+        return pieces[-1]
 
-    monkeypatch.setattr(abc_triples, "factorize", recording)
+    monkeypatch.setattr(abc_triples, "_cyclotomic", recording)
     return factor_term(seq, n), pieces
 
 
@@ -124,19 +103,29 @@ class TestFactorTerm:
             factor_term(SequenceSpec(2), 2**19 + 1)
 
 
-def factorize_outcome(m, budget, **kwargs):
-    """factorize's result under this rho budget, or the partial result
-    and cofactor it raised."""
+def outcome(budget, fn, *args):
+    """fn(*args) under this rho budget, or the partial result and
+    cofactor of the FactorizationError it raised."""
     try:
         with mock.patch.object(arith, "RHO_BUDGET", budget):
-            return factorize(m, **kwargs)
+            return fn(*args)
     except FactorizationError as exc:
         return exc.partial, exc.cofactor
 
 
+def piece_walk(m, t):
+    """m factored as factor_term factors the piece Phi_t(a): trial
+    division by the primes of t and the progression of t, then the split
+    of what is left."""
+    found = {}
+    qs = [q for q, _ in factorize(t)]
+    return _split(_trial_divide(m, t, qs, TRIAL_DIVISION_LIMIT, found), found)
+
+
 class TestStepPromise:
     # the primes of Phi_d(a) divide d or are = 1 mod d, so trial division
-    # by those primes alone finds what the full prime list finds
+    # by those primes alone, the progression stepped by lcm(d, 2), finds
+    # what the full prime list finds
     @given(a=st.integers(min_value=2, max_value=40), d=st.integers(min_value=1, max_value=120),
            budget=st.sampled_from([100, 2**12]))
     @example(a=12, d=1, budget=2**12)
@@ -147,22 +136,36 @@ class TestStepPromise:
     @settings(max_examples=60, deadline=None)
     def test_step_changes_nothing(self, a, d, budget):
         piece = cyclotomic_value(d, a)
-        assert factorize_outcome(piece, budget, step=d) == factorize_outcome(piece, budget)
+        assert outcome(budget, piece_walk, piece, d) == outcome(budget, factorize, piece)
 
     def test_examples_take_their_paths(self, monkeypatch):
         # 3 | Phi_6(2) with 3 | 6; Phi_37(3) is above 10^12 with no prime
         # below 10^6; Phi_65(3) leaves rho a cofactor it cannot split in 100
-        assert dict(factorize(cyclotomic_value(6, 2), step=6)) == {3: 1}
-        assert dict(factorize(cyclotomic_value(37, 3), step=37)) == {13097927: 1, 17189128703: 1}
+        assert dict(piece_walk(cyclotomic_value(6, 2), 6)) == {3: 1}
+        assert dict(piece_walk(cyclotomic_value(37, 3), 37)) == {13097927: 1, 17189128703: 1}
         monkeypatch.setattr(arith, "RHO_BUDGET", 100)
         with pytest.raises(FactorizationError) as exc:
-            factorize(cyclotomic_value(65, 3), step=65)
+            piece_walk(cyclotomic_value(65, 3), 65)
         assert dict(exc.value.partial) == {131: 1}
         assert exc.value.cofactor == 3701101 * 110133112994711
 
-    def test_rejects_step_below_one(self):
-        with pytest.raises(ValueError):
-            factorize(15, step=0)
+    @given(a=st.integers(min_value=2, max_value=40), t=st.integers(min_value=1, max_value=200),
+           cap=st.integers(min_value=1, max_value=10**4))
+    @example(a=10, t=3, cap=1)  # 3 of Phi_3(10) = 3 * 37 divides t, past the cap
+    @example(a=10, t=8, cap=100)  # Phi_8(10) = 73 * 137, walked to its root
+    @example(a=3, t=65, cap=10**4)  # 131, and a composite left past the cap
+    @settings(max_examples=80, deadline=None)
+    def test_trial_divide_takes_whole_primes_of_the_progression(self, a, t, cap):
+        # checked by valuations and the primes <= cap: Phi_200(40) has
+        # 129 digits, too large to factor in a test
+        m = cyclotomic_value(t, a)
+        found = {}
+        rest = _trial_divide(m, t, [q for q, _ in factorize(t)], cap, found)
+        assert math.prod(p**e for p, e in found.items()) * rest == m
+        for p, e in found.items():
+            assert is_prime(p) and valuation(m, p) == e
+            assert t % p == 0 or (p <= cap and (p - 1) % t == 0)
+        assert rest == 1 or is_prime(rest) or all(rest % p for p in primes_upto(cap))
 
 
 class TestAbcQuality:

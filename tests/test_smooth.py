@@ -24,8 +24,7 @@ from smoothlab.smooth import (
     smooth_part_of_term,
 )
 
-from oracles import divisors, records_by_enumeration, smooth_part_by_pow, term_prime_log_sum
-from test_abc import cyclotomic_value
+from oracles import cyclotomic_value, divisors, records_by_enumeration, smooth_part_by_pow, term_prime_log_sum
 
 
 class TestCutoffSpec:
@@ -210,17 +209,22 @@ class TestSmoothPartOfTerm:
 
     @pytest.mark.parametrize("a, n, Y", [(10, 529360, 529360), (6, 840880, 840880), (5, 895158, 895158)])
     def test_cut_passes_stop_at_the_root_of_their_pieces(self, monkeypatch, a, n, Y):
-        # a cut pass reads its progression only up to the square root of
-        # each piece it takes, Phi_d(a), or Phi_(d/2)(a) and then Phi_d(a)
-        # for d = 2 mod 4; an uncut pass still runs to min(Y, a^d - 1)
+        # a cut pass reads its progression, in arith._trial_divide, only
+        # up to the square root of each piece it takes, Phi_d(a), or
+        # Phi_(d/2)(a) and then Phi_d(a) for d = 2 mod 4, whose progression
+        # of t = d/2 odd steps by 2t = d; an uncut pass still runs to
+        # min(Y, a^d - 1)
         taken = []
+        progression = arith._progression
 
         def recording(t, L):
             taken.append((t, L))
-            return arith._progression(t, L)
+            return progression(t, L)
 
         monkeypatch.setattr(smooth, "_progression", recording)
+        monkeypatch.setattr(arith, "_progression", recording)
         smooth_part_of_term(SequenceSpec(a), n, Y)
+        monkeypatch.undo()  # the oracle below factors through arith._progression too
         sieve = _shared_sieve(Y, math.isqrt(n))
         count = sieve.count(Y)
         passes, cuts, visits = _divisor_passes(a, n, Y, sieve, count)
@@ -229,9 +233,9 @@ class TestSmoothPartOfTerm:
         # the uncut passes run first, each to its own L, then each cut
         # pass stops below the root of each piece it takes
         assert taken[: len(passes)] == passes
-        roots = [(d, math.isqrt(cyclotomic_value(k, a))) for d, _ in cuts
+        roots = [(k, math.isqrt(cyclotomic_value(k, a))) for d, _ in cuts
                  for k in ([d // 2, d] if d % 4 == 2 and d > 2 else [d])]
-        assert [t for t, _ in taken[len(passes):]] == [d for d, _ in roots]
+        assert [t for t, _ in taken[len(passes):]] == [k for k, _ in roots]
         assert all(L <= root for (_, L), (_, root) in zip(taken[len(passes):], roots))
         if (a, n) == (10, 529360):
             assert (8, 100) in taken  # Phi_8(10) = 10001 = 73 * 137

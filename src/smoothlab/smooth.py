@@ -24,17 +24,17 @@ TIE_GUARD = 1e-9
 # _divisor_passes' estimate of the primes they visit stays below this
 # multiple of the primes <= Y, and tests every prime <= Y from there on.
 # A visited prime mostly costs one C-level (a^d - 1) mod p, below one
-# pow test, so the crossover lies above 1.  Measured before any pass was
-# cut, when every pass ran to min(Y, a^d - 1): over 600 n in [100, 3000],
-# 400 in [3000, 10^4] and 600 in [10^4, 10^6], half uniform and half
-# 13-smooth, at y = n (random bases 2-10, both routes timed per n, the
-# full scan with the estimate that picks it, best of 5 interleaved,
-# two seeds, 2-core box, Python 3.11), the passes took a median
-# 0.79-0.80, 0.91 and 0.96-1.01 of the full scan's time at estimates
-# 1.00-1.25, 1.25-1.50 and 1.50-1.75.  At 1.5 the routes taken summed
-# to 1.005-1.008, 1.001-1.003 and 1.002-1.003 times the faster route
-# per n over the three ranges (up to 1.023 at 1.25, up to 1.013 at
-# 1.75).
+# pow test, so the crossover lies above 1.  Measured with the one cut
+# rule of _divisor_passes, both routes timed per n (y = n, best of 5,
+# three runs, 2-core box, Python 3.11): over every n in [2, 3000] at
+# bases 2 and 10, the passes took a median 0.85 and 0.74 of the full
+# scan's time at estimates 0.75-1.0, 1.04 and 0.92 at 1.0-1.25 and 1.41
+# and 1.23 at 1.5-1.75, and the routes taken at 1.5 summed to
+# 1.012-1.017 and 1.008-1.011 times the faster route per n (1.002-1.003
+# at 1.15 and 1.004-1.006 at 1.25-1.3, the best shares there); over 200
+# 13-smooth n in [10^4, 10^6] (three samples, bases drawn from 2, 3, 5,
+# 6, 7, 10) they summed to 1.001-1.005 at 1.5, 1.000-1.003 at 1.75,
+# 1.002-1.028 at 1.25 and 1.050-1.060 at 1.0.
 _SLICE_SHARE = 1.5
 
 # Most bits of a^d - 1 that a pass divides by each of its primes; past
@@ -50,17 +50,35 @@ _MOD_PASS_BITS = 1024
 
 # What setting up one pass costs, its progression read off the sieve
 # and a^d - 1 built, counted as this many visited primes in the
-# estimate.  Measured as for _SLICE_SHARE, on uncut passes, with no such
-# charge the routes taken summed to 1.029-1.032 times the faster route
-# per n at n <= 3000 (at a share of 1.0, its best there), against
-# 1.005-1.008 with 16 at 1.5; 8 gave 1.002-1.004 at 1.25 but up to 1.011
-# above n = 3000, and 32 gave 1.014-1.019 at 2.0.  A cut pass is charged
-# it twice more per piece, once for building Phi_d(a) and once for the
-# trial division's own progression: at Y = 3000 (bases 2, 3, 10, each
-# d < 120 with a^d - 1 > Y, best of 5, CPU time of the thread, 2-core
-# box, Python 3.11), an uncut pass cost 12-13 visited primes beyond its
-# visits, and a cut piece 33-40 all told, measured when a piece was
-# divided by one C-level mod pass to its root.
+# estimate.  Fitted before any pass was cut, over 600 n in [100, 3000],
+# 400 in [3000, 10^4] and 600 in [10^4, 10^6] (y = n, random bases
+# 2-10, both routes timed per n): with no such charge the routes taken
+# summed to 1.029-1.032 times the faster route per n at n <= 3000 (at a
+# share of 1.0, its best there), against 1.005-1.008 with 16 at 1.5; 8
+# gave 1.002-1.004 at 1.25 but up to 1.011 above n = 3000, and 32 gave
+# 1.014-1.019 at 2.0.
+#
+# It also sets the one cut rule of _divisor_passes: a pass whose piece
+# lies below Y^2 is cut where its mod pass would visit more than 4
+# times this many primes.  Per pass (Y = 3000, 3 * 10^4, 3 * 10^5 and
+# 10^6, bases 2, 3, 5, 6, 7, 10, each d < 400 whose piece lies below
+# Y^2, best of 5, three runs), the walk over the piece beat the mod
+# pass in 12-15 of 80 passes visiting at most 16 primes, 69-72 of 84
+# visiting 17-64 and 562-563 of 564 visiting more, and the routes the
+# rule takes summed to 1.023-1.033 times the faster route per pass
+# (1.004-1.010 at 1 times, 1.007-1.012 at 2, 1.080-1.114 at 8).  Over
+# whole terms (y = n, medians of 12 interleaved pairs, two runs) 2
+# times took 0.99 and 1.04 of the time at 4 on 300 n in [10^4, 10^6],
+# 0.96 and 0.97 on 60 in [10^6, 10^7] and 0.97 and 1.04 on every
+# n <= 3000 at base 2.
+#
+# A cut piece is charged a walk to its root plus twice this, once for
+# building Phi_d(a) and once for reading its progression.  At Y = 3000
+# (bases 2, 3, 10, each d < 120 with a^d - 1 > Y, best of 7, CPU time
+# of the thread, six runs) a piece cost a median 0.59-0.84 of that
+# charge, as the walk stops once p^2 passes what is left, and an uncut
+# pass 8-16 visited primes beyond its visits, in 16 of the 18 readings
+# (the other two fitted 28-30 primes of set-up).
 _FEW_CANDIDATES = 16
 
 # Most bits of an integer the package builds from an exponent: of the
@@ -206,22 +224,23 @@ def _divisor_passes(
     d < Y of n except an odd one of an even n: the uncut ones, the cut
     ones, and an estimate of the primes they visit.
 
-    An uncut pass (d, L) runs over the primes p = 1 mod lcm(d, 2) up to
-    L = min(Y, a^d - 1), counted as pi(L) / phi(d).  A pass that runs to
-    Y may be cut instead, (d, the primes of d): it trial-divides each of
-    its cyclotomic pieces, stopping by the piece's square root (see
-    _term_primes).  Each piece is priced as a walk to that root,
-    pi(min(Y, r)) / phi(d) with r = 2^ceil(phi(d) * log2(a) / 2) for a
+    Every pass has one bound, L = min(Y, a^d - 1), and one rule: it is
+    cut where its cyclotomic piece lies below Y^2, phi(d) <= phi_max,
+    and its mod pass would visit more than 4 * _FEW_CANDIDATES primes,
+    pi(L) / phi(d).  A cut pass, (d, the primes of d), trial-divides each
+    of its pieces, stopping by the piece's square root (see
+    _term_primes).  Each piece counts as a walk to that root,
+    pi(r) / phi(d) with r = 2^ceil(phi(d) * log2(a) / 2) <= Y for a
     piece of about a^phi(d), though the walk may stop sooner, plus
     2 * _FEW_CANDIDATES: one set-up for building the piece and one for
-    reading its progression.  A pass is cut where that count is the
-    smaller, so never where r passes Y, as for a piece of Y^2 or more.
+    reading its progression.  Any other pass, (d, L), runs over the
+    primes p = 1 mod lcm(d, 2) up to L, counted as pi(L) / phi(d).
     Every pass counts _FEW_CANDIDATES more for its own set-up.  The
     lists stop at the pass that brings the sum to _SLICE_SHARE * pi(Y),
     where the full scan is taken instead, so a dense n never lists all
-    its divisors.  Every pi comes from
-    sieve.count, as the sieve covers Y, and count is pi(Y); its prime
-    list covers min(Y - 1, isqrt(n)) for the divisors."""
+    its divisors.  Every pi comes from sieve.count, as the sieve covers
+    Y, and count is pi(Y); its prime list covers min(Y - 1, isqrt(n))
+    for the divisors."""
     pi = sieve.count
     limit = _SLICE_SHARE * count
     passes = []
@@ -229,20 +248,17 @@ def _divisor_passes(
     visits = 0.0
     log2_a = math.log2(a)
     a_bits, Y_bits = a.bit_length() - 1, Y.bit_length()
-    phi_max = 2 * (Y_bits - 1) / log2_a  # past it r >= 2^Y_bits > Y, and a cut visits no fewer
+    phi_max = 2 * (Y_bits - 1) / log2_a  # up to it a^phi(d) <= 2^(2 * Y_bits - 2) <= Y^2
     found = []
     for d, phi in _divisors_below(n, Y, sieve.primes, found):
-        if d * a_bits < Y_bits and (L := min(Y, a**d - 1)) < Y:  # else a^d >= 2^(d * a_bits) > Y
+        L = min(Y, a**d - 1) if d * a_bits < Y_bits else Y  # else a^d >= 2^(d * a_bits) > Y
+        if phi <= phi_max and pi(L) > 4 * _FEW_CANDIDATES * phi:
+            cuts.append((d, [q for q in found if d % q == 0]))
+            visits += (2 if d % 4 == 2 and d > 2 else 1) * (pi(1 << math.ceil(phi * log2_a / 2)) / phi
+                                                            + 2 * _FEW_CANDIDATES) + _FEW_CANDIDATES
+        else:
             passes.append((d, L))
             visits += pi(L) / phi + _FEW_CANDIDATES
-        elif phi <= phi_max and (cut := (2 if d % 4 == 2 and d > 2 else 1)
-                                 * (pi(1 << math.ceil(phi * log2_a / 2)) / phi
-                                    + 2 * _FEW_CANDIDATES)) < count / phi:
-            cuts.append((d, [q for q in found if d % q == 0]))
-            visits += cut + _FEW_CANDIDATES
-        else:
-            passes.append((d, Y))
-            visits += count / phi + _FEW_CANDIDATES
         if visits >= limit:
             break
     return passes, cuts, visits
@@ -266,8 +282,8 @@ def _term_primes(a: int, n: int, Y: int) -> list[int]:
     _MOD_PASS_BITS bits.  The divisors come from trial division of n
     below Y (see _divisor_passes).
 
-    A pass that runs to Y may be cut instead (see _divisor_passes).  It
-    needs only the primes of order d, since every other prime of
+    A pass may be cut instead, by the one rule of _divisor_passes.  It
+    then needs only the primes of order d, since every other prime of
     a^d - 1 has an order e < d dividing d and turns up in the pass of e,
     or of 2e for an odd e > 1 of an even n.  Those are the primes of the
     cyclotomic piece Phi_d(a) (arith._cyclotomic) that do not divide d,

@@ -92,6 +92,10 @@ COMMANDS = [f"{cmd} --format {fmt}" for cmd in _BOTH_FORMATS for fmt in ("json",
     "abc --base 10 --n 3 --K 1 --c 1.01",
     # 131 found by trial division, and a 20-digit cofactor split by rho
     "abc --base 3 --n 65 --K 1 --c 1.01",
+    # cut passes bounded by a^d - 1 < Y: d = 12 and 16 of 2^18 * 3, and
+    # d = 10 of 2^16 * 5, which takes Phi_5(3) = 11^2 and then Phi_10(3) = 61
+    "svalue --base 2 --n 786432 --K 1",
+    "membership --base 3 --n 327680 --K 1 --c 1.01",
 ]
 
 

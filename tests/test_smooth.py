@@ -1,3 +1,4 @@
+import bisect
 import math
 import time
 import tracemalloc
@@ -158,6 +159,9 @@ class TestSmoothPartOfTerm:
     @example(a=10, n=977899, Y=3 * 10**5)  # 13 * 75223: the passes of 13 and 75223 run to Y
     @example(a=2, n=2**18, Y=3 * 10**5)  # 2^d - 1 past the bit cap from d = 2^11 on
     @example(a=1 + 3**300, n=720720, Y=10**5)  # a^d - 1 past the cap from d = 3 on
+    @example(a=2, n=786432, Y=786432)  # 2^18 * 3: the passes of 12 and 16 end at 2^d - 1 < Y, and are cut
+    @example(a=3, n=327680, Y=327680)  # 2^16 * 5: d = 10 ends at 3^10 - 1, cut into Phi_5(3), Phi_10(3)
+    @example(a=2, n=39, Y=10000)  # Phi_13(2) = 8191 = 2^13 - 1, cut and itself left over below Y
     @settings(max_examples=60)
     def test_divisor_passes_find_the_primes_of_the_term(self, a, n, Y):
         # the per-divisor route at any estimate, dense n included, against
@@ -197,10 +201,14 @@ class TestSmoothPartOfTerm:
     @example(a=10, nY=(529360, 529360))
     @example(a=6, nY=(840880, 840880))
     @example(a=5, nY=(895158, 895158))
+    @example(a=2, nY=(786432, 786432))  # d = 12 and 16, bounded by 2^d - 1 < Y
+    @example(a=3, nY=(327680, 327680))  # d = 10 takes Phi_5(3) = 11^2, then Phi_10(3) = 61, below Y
+    @example(a=2, nY=(39, 10000))  # Phi_13(2) = 8191 is itself the prime left over below Y
     @settings(max_examples=60)
     def test_cut_passes_find_the_primes_of_the_term(self, a, nY):
-        # with no set-up charge, every pass that runs to Y and whose root
-        # estimate lies below Y is cut, and the full scan is never taken
+        # with no set-up charge, every pass whose piece lies below Y^2 and
+        # whose bound L holds a prime, pi(L) > 0, is cut, and the full
+        # scan is never taken
         n, Y = nY
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(smooth, "_SLICE_SHARE", math.inf)
@@ -240,6 +248,28 @@ class TestSmoothPartOfTerm:
         if (a, n) == (10, 529360):
             assert (8, 100) in taken  # Phi_8(10) = 10001 = 73 * 137
 
+    @pytest.mark.parametrize("a", [2, 3, 10, 40, 1 + 3**300], ids=["2", "3", "10", "40", "1+3^300"])
+    @pytest.mark.parametrize("n, Y", [(39, 10000), (720, 720), (5040, 1260), (55440, 55440), (327680, 327680),
+                                      (786432, 786432), (977899, 3 * 10**5), (720720, 2 * 720720)])
+    def test_divisor_passes_follow_the_one_cut_rule(self, a, n, Y):
+        # every listed pass has the bound L = min(Y, a^d - 1), and it is
+        # cut exactly when its piece lies below Y^2 and its mod pass would
+        # visit more than 4 * _FEW_CANDIDATES primes, pi(L) / phi(d)
+        sieve = _shared_sieve(Y, min(Y - 1, math.isqrt(n)))
+        passes, cuts, _ = _divisor_passes(a, n, Y, sieve, sieve.count(Y))
+        primes = primes_upto(Y)
+        phi_max = 2 * (Y.bit_length() - 1) / math.log2(a)
+
+        def cut(d):
+            L = min(Y, a**d - 1) if d < Y.bit_length() else Y  # a^d >= 2^d > Y from there on
+            phi = math.prod(q**(k - 1) * (q - 1) for q, k in factorize(d))
+            return L, phi <= phi_max and bisect.bisect(primes, L) / phi > 4 * _FEW_CANDIDATES
+
+        assert all(cut(d) == (L, False) for d, L in passes)
+        assert all(cut(d)[1] and qs == [q for q, _ in factorize(d)] for d, qs in cuts)
+        if (a, n, Y) == (2, 786432, 786432):
+            assert {12, 16} <= {d for d, _ in cuts}  # bounded by 2^d - 1 < Y, and cut
+
     def test_prime_n_has_few_candidates(self):
         # every prime of 2^n - 1 is 1 mod n, so none lies below Y = n:
         # the one pass, of d = 1, stops at a - 1 = 1
@@ -250,14 +280,15 @@ class TestSmoothPartOfTerm:
     @pytest.mark.parametrize("a, n", [(10, 720720), (1 + 3**300, 5040)])
     def test_dense_terms_scan_every_prime(self, a, n):
         # nearly every prime <= n is 1 mod some divisor of n, or the
-        # base exceeds Y so that the pass of d = 1 runs to Y; cut passes
-        # leave (10, 720720) at 1.53 pi(Y)
+        # base exceeds Y so that the pass of d = 1 runs to Y; with its
+        # cut passes, (10, 720720) reads 1.88 pi(Y) over all its divisors,
+        # and the list stops at 1.52 pi(Y)
         visits, count = route_estimate(a, n, n)
         assert visits >= _SLICE_SHARE * count
 
     def test_cut_passes_move_n_off_the_full_scan(self):
-        # 55440 = 2^4 3^2 5 7 11: uncut, its passes read 1.57 pi(Y), past
-        # the full scan's share; cut, they read 1.14 pi(Y)
+        # 55440 = 2^4 3^2 5 7 11: uncut, its passes would read 2.46 pi(Y),
+        # past the full scan's share; cut, they read 1.07 pi(Y)
         visits, count = route_estimate(2, 55440, 55440)
         assert visits < 1.2 * count < _SLICE_SHARE * count
         assert smooth_part_of_term(SequenceSpec(2), 55440, 55440) == smooth_part_by_pow(2, 55440, 55440)

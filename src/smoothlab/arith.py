@@ -8,10 +8,10 @@ the primes of an arithmetic progression off it as a C-level slice;
 cumulative prime counts per block of the mark, so pi(L) is one count
 plus one C-level bytearray.count (one read of a table of pi below
 2^14); and the ascending prime list, built off the mark only as far as
-a walk over every prime has asked.  The mark starts at 1000 and at
-least doubles when a larger cutoff is asked for; cutoffs above
-SIEVE_MAX raise ValueError.  primes_upto hands out copies, so no caller
-can change the shared list.
+a walk over every prime has asked, and read only by _progression(1, L)
+and primes_upto.  The mark starts at 1000 and at least doubles when a
+larger cutoff is asked for; cutoffs above SIEVE_MAX raise ValueError.
+primes_upto hands out copies, so no caller can change the shared list.
 smallest_prime_factors builds a fresh least-prime-factor array from that
 sieve, so a whole range of integers factors without trial division.
 All other factoring takes one trial-division walk, _trial_divide, over
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat, takewhile
+from itertools import accumulate, chain, compress, islice, repeat
 from typing import NamedTuple
 
 # Trial division handles primes up to this bound; beyond it Pollard rho
@@ -241,12 +241,16 @@ def primes_upto(limit: int) -> list[int]:
 
 def _progression(t: int, L: int):
     """Iterator over the primes p <= L with p = 1 mod t, for t >= 1,
-    ascending, read lazily off the shared sieve: for t = 1 its prime
-    list, listed to L first, which keeps p = 2, and otherwise a C-level
-    slice of its byte mark stepped by lcm(t, 2), as an odd p = 1 mod t
-    is = 1 mod 2t.  Raises ValueError for L above SIEVE_MAX."""
+    ascending, read lazily off the shared sieve; nothing for L < 2.  For
+    t = 1 it is the first pi(L) entries of the prime list, listed to L
+    first, which keeps p = 2, and otherwise a C-level slice of the byte
+    mark stepped by lcm(t, 2), as an odd p = 1 mod t is = 1 mod 2t.
+    It and primes_upto are the only readers of the list, so every walk
+    over the primes goes through it.  Raises ValueError for L above
+    SIEVE_MAX."""
     if t == 1:
-        return takewhile(L.__ge__, _shared_sieve(L, L).primes)
+        sieve = _shared_sieve(L, L)
+        return islice(sieve.primes, sieve.count(L) if L > 0 else 0)
     mark = _shared_sieve(L).mark
     s = t if t % 2 == 0 else 2 * t
     return compress(range(s + 1, L + 1, s), mark[s + 1 : L + 1 : s])
@@ -421,28 +425,24 @@ def _trial_divide(m: int, t: int, primes_of_t, cap: int, found: dict[int, int]) 
 
 def _split(rest: int, found: dict[int, int]) -> Factorization:
     """found with the primes of rest added, as a Factorization, where
-    rest is what _trial_divide left with cap TRIAL_DIVISION_LIMIT: below
-    its square the rest is 1 or a prime; above it is_prime certifies a
-    prime and Pollard rho splits a composite.  Raises FactorizationError,
-    with found as the partial result, when rho exhausts its budget."""
-    if rest > 1:
-        if rest <= TRIAL_DIVISION_LIMIT**2 or is_prime(rest):
-            found[rest] = found.get(rest, 0) + 1
-        else:
-            stack = [rest]
-            while stack:
-                n = stack.pop()
-                if is_prime(n):
-                    found[n] = found.get(n, 0) + 1
-                    continue
-                d = _rho_split(n)
-                if d == 0:
-                    partial = Factorization(tuple(sorted(found.items())))
-                    raise FactorizationError(
-                        f"rho budget exhausted on cofactor {n}", partial, n
-                    )
-                stack.append(d)
-                stack.append(n // d)
+    rest is what _trial_divide left with cap TRIAL_DIVISION_LIMIT of a
+    number whose primes it tries all: 1, a prime, or a number whose
+    primes lie above the cap.  So an entry up to the cap's square, rest
+    or a factor rho split off, is a prime; above it is_prime certifies a
+    prime and Pollard rho splits a composite.  Raises
+    FactorizationError, with found as the partial result, when rho
+    exhausts its budget."""
+    stack = [rest] if rest > 1 else []
+    while stack:
+        n = stack.pop()
+        if n <= TRIAL_DIVISION_LIMIT**2 or is_prime(n):
+            found[n] = found.get(n, 0) + 1
+            continue
+        d = _rho_split(n)
+        if d == 0:
+            partial = Factorization(tuple(sorted(found.items())))
+            raise FactorizationError(f"rho budget exhausted on cofactor {n}", partial, n)
+        stack += (d, n // d)
     return Factorization(tuple(sorted(found.items())))
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from operator import not_
 from typing import NamedTuple
 
@@ -174,16 +174,16 @@ def _scan_limit(a: int, n: int, y: int) -> int:
     return y
 
 
-def _divisors_below(n: int, Y: int, primes: list[int], found: list[int]):
+def _divisors_below(n: int, Y: int, primes, found: list[int]):
     """Yield (d, phi(d)) for 1 and the divisors d < Y of n, except the
     odd ones of an even n, built up prime by prime as n's primes below Y
-    turn up in trial division by the ascending primes, which list at
+    turn up in trial division by the ascending primes, which hold at
     least those up to min(Y - 1, isqrt(n)); so n itself is never
     factored past Y.  Each prime of n is appended to found as it turns
     up, so when d is yielded found holds every prime of d.
 
-    The list can end below the square root of what is left of n, as for
-    a prime n.  What is left then has no prime up to isqrt(n) or below
+    The primes can end below the square root of what is left of n, as
+    for a prime n.  What is left then has no prime up to isqrt(n) or below
     Y: it is 1, n's last prime (above isqrt(n)), or a number whose
     primes are all >= Y.  The sentinel n after the walk, whose square
     exceeds anything left, hands it to the q = rest step, which takes it
@@ -239,8 +239,8 @@ def _divisor_passes(
     lists stop at the pass that brings the sum to _SLICE_SHARE * pi(Y),
     where the full scan is taken instead, so a dense n never lists all
     its divisors.  Every pi comes from sieve.count, as the sieve covers
-    Y, and count is pi(Y); its prime list covers min(Y - 1, isqrt(n))
-    for the divisors."""
+    Y, and count is pi(Y); the divisors from the walk _progression(1,
+    min(Y - 1, isqrt(n))), as only it and primes_upto read the list."""
     pi = sieve.count
     limit = _SLICE_SHARE * count
     passes = []
@@ -250,7 +250,7 @@ def _divisor_passes(
     a_bits, Y_bits = a.bit_length() - 1, Y.bit_length()
     phi_max = 2 * (Y_bits - 1) / log2_a  # up to it a^phi(d) <= 2^(2 * Y_bits - 2) <= Y^2
     found = []
-    for d, phi in _divisors_below(n, Y, sieve.primes, found):
+    for d, phi in _divisors_below(n, Y, _progression(1, min(Y - 1, math.isqrt(n))), found):
         L = min(Y, a**d - 1) if d * a_bits < Y_bits else Y  # else a^d >= 2^(d * a_bits) > Y
         if phi <= phi_max and pi(L) > 4 * _FEW_CANDIDATES * phi:
             cuts.append((d, [q for q in found if d % q == 0]))
@@ -300,12 +300,12 @@ def _term_primes(a: int, n: int, Y: int) -> list[int]:
     a^gcd(n, p - 1) = 1 mod p, as ell_p divides p - 1 (the residue is 0
     where p divides the base, and a mod 2 for p = 2).
     """
-    sieve = _shared_sieve(Y, min(Y - 1, math.isqrt(n)))
+    sieve = _shared_sieve(Y)
     count = sieve.count(Y)
     passes, cuts, visits = _divisor_passes(a, n, Y, sieve, count)
     if visits >= _SLICE_SHARE * count:
         gcd = math.gcd
-        return [p for p in islice(_shared_sieve(Y, Y).primes, count) if pow(a, gcd(n, p - 1), p) == 1]
+        return [p for p in _progression(1, Y) if pow(a, gcd(n, p - 1), p) == 1]
     d_max = _MOD_PASS_BITS / math.log2(a)
     found = set()
     for d, L in passes:

@@ -26,8 +26,6 @@ from smoothlab.arith import (
 from smoothlab.smooth import _divisors_upto
 
 
-PRIMES_TO_10_5 = sieve_primes(10**5)
-
 # Limits at the edges of the mark's count blocks and of its table of
 # small counts, and the smallest ones.
 SIEVE_EDGES = sorted({0, 1, 2, 3} | {base + e for base in (128, 256, 384, 99968, arith._LOW_PI)
@@ -130,9 +128,9 @@ class TestSieve:
         start=st.integers(min_value=0, max_value=2000),
         steps=st.lists(st.tuples(
             st.sampled_from(["mark", "count", "walk", "upto"]),
-            st.one_of(st.integers(min_value=0, max_value=10**5),
+            st.one_of(st.integers(min_value=-1, max_value=10**5),
                       st.sampled_from(SIEVE_EDGES)),
-            st.integers(min_value=2, max_value=60),
+            st.integers(min_value=1, max_value=64),
         ), min_size=1, max_size=6),
     )
     @example(start=0, steps=[("walk", 0, 2), ("walk", 1, 2), ("walk", 2, 2), ("count", 2, 2)])
@@ -140,20 +138,23 @@ class TestSieve:
                                 ("upto", 257, 2), ("walk", 10**5, 2)])
     @example(start=127, steps=[("count", 127, 2), ("count", 128, 2), ("walk", 129, 2),
                                ("upto", 383, 2), ("mark", 384, 3)])
+    @example(start=0, steps=[("mark", -1, 1), ("mark", -1, 64), ("walk", -1, 1), ("upto", -1, 1),
+                             ("mark", 2, 1), ("mark", 3, 2), ("mark", 129, 64)])
     @settings(max_examples=80, deadline=None)
     def test_shared_sieve_in_any_growth_order(self, start, steps):
         # the mark grown by a progression reader, by a count or by a walk,
-        # in any order, and the list grown by walks only: every count,
-        # progression and copy matches a fresh sieve
+        # in any order, and the list grown by walks only, the progression
+        # of t = 1 among them: every count, progression and copy matches a
+        # fresh sieve, and a progression is the filter of its primes
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(arith, "_sieve", _marked_sieve(start))
             for kind, L, t in steps:
                 before = arith._sieve.listed
-                want = PRIMES_TO_10_5[: bisect_right(PRIMES_TO_10_5, L)]
+                want = sieve_primes(L)
                 if kind == "mark":
-                    assert list(arith._progression(t, L)) == [p for p in want if p % t == 1]
+                    assert list(arith._progression(t, L)) == [p for p in want if (p - 1) % t == 0]
                 elif kind == "count":
-                    assert arith._shared_sieve(L).count(L) == len(want)
+                    assert arith._shared_sieve(L).count(max(L, 0)) == len(want)  # pi(L) for L >= 0
                 elif kind == "walk":
                     assert list(arith._progression(1, L)) == want
                 else:
@@ -161,7 +162,7 @@ class TestSieve:
                 sieve = arith._sieve
                 assert sieve.listed <= sieve.limit and len(sieve.mark) == sieve.limit + 1
                 assert sieve.primes == sieve_primes(sieve.listed)
-                if kind in ("mark", "count"):
+                if kind == "count" or kind == "mark" and t > 1:
                     assert sieve.listed == before  # only a walk lists primes
 
     def test_single_term_lists_no_prime_past_its_walk(self):
@@ -215,6 +216,12 @@ class TestIsPrime:
     @pytest.mark.parametrize("n", [PSI_12, PSI_13])
     def test_strong_pseudoprimes_to_every_witness_below(self, n):
         assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [47**2, 43 * 58717])
+    def test_strong_lucas_rejects_at_its_early_exits(self, n):
+        # 2209 = 47^2 at the perfect-square exit, where no D has
+        # (D/n) = -1; 2524831 at D = -43, a factor of n, so (D/n) = 0
+        assert not arith._strong_lucas(n)
 
     def test_agrees_with_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -292,6 +299,12 @@ class TestFactorize:
 
     def test_splits_a_strong_pseudoprime(self):
         assert dict(factorize(PSI_12)) == {399165290221: 1, 798330580441: 1}
+
+    @pytest.mark.parametrize("n, factor", [(35, 5), (91, 7)])
+    def test_rho_steps_back_when_a_batch_takes_both_primes(self, n, factor):
+        # the product over a batch of steps is 0 mod n, so gcd(q, n) = n;
+        # the walk back from ys, one step at a time, finds one of them
+        assert arith._rho_split(n) == factor
 
     def test_rho_splits_semiprime_past_trial_range(self):
         f = factorize(1000003 * 1000033)

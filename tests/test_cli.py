@@ -276,6 +276,11 @@ class TestBoundsCommand:
         assert result.exit_code == 2
         assert "--check-c, --K and --theta apply only with --check-base" in result.output
 
+    def test_check_base_needs_check_c(self, runner):
+        result = runner.invoke(main, ["bounds", "--N", "64", "--check-base", "2"])
+        assert result.exit_code == 2
+        assert "--check-c is required with --check-base" in result.output
+
     def test_density_table_csv_keeps_every_column(self, runner):
         result = runner.invoke(main, ["bounds", "--N", "10", "--check-base", "2",
                                       "--check-c", "1.2", "--K", "1", "--format", "csv"])
@@ -380,6 +385,12 @@ class TestBinomialCommand:
         lines = result.output.strip().splitlines()
         assert lines[0].startswith("n,")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("option", [[], ["--n", "5", "--N", "5"]])
+    def test_needs_exactly_one_of_n_and_N(self, runner, option):
+        result = runner.invoke(main, ["binomial", *option])
+        assert result.exit_code == 2
+        assert "exactly one of --n and --N is required" in result.output
 
     def test_range_past_the_sieve_is_a_domain_error(self, runner):
         # the smallest N with 2N above SIEVE_MAX, refused before the

@@ -15,6 +15,12 @@ set, bytearray or array there, and none has a global statement, except
 the shared prime sieve arith._sieve.  So a cache cannot come back
 unnoticed.
 
+No library module but arith reads the shared sieve's prime list: none
+reads a .primes attribute or calls _shared_sieve with a second argument,
+which asks the list to grow.  Every walk over the primes goes through
+arith._progression, so how far the list is built, and how it is cut,
+is decided in arith alone.
+
 No library module imports mpmath, at import time or in a function
 body: the 50-digit mode of bounds evaluates in the standard library's
 decimal, which fractions loads anyway, where importing mpmath would cost
@@ -188,6 +194,39 @@ def test_finds_module_state():
 def test_module_keeps_no_state(path):
     allowed = {"_sieve"} if path.name == "arith.py" else set()
     assert set(module_state(path.read_text())) <= allowed
+
+
+def prime_list_reads(source: str) -> list[str]:
+    """"line: what" for each place source reads the shared sieve's prime
+    list itself, by line: a .primes attribute, or a call of _shared_sieve
+    (bare or as an attribute) with a second argument."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "primes":
+            reads.append((node.lineno, ".primes"))
+        elif (isinstance(node, ast.Call) and len(node.args) + len(node.keywords) > 1
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_shared_sieve"):
+            reads.append((node.lineno, "_shared_sieve with a second argument"))
+    return [f"{line}: {what}" for line, what in sorted(reads)]
+
+
+def test_finds_a_read_of_the_prime_list():
+    source = (
+        "from . import arith\nfrom .arith import _progression, _shared_sieve, primes_upto\n"
+        "def f(L, primes):\n"
+        "    sieve = _shared_sieve(L)\n"
+        "    walk = _shared_sieve(L, L).primes\n"
+        "    grown = arith._shared_sieve(L, listed=L)\n"
+        "    return sieve.count(L), sieve.mark, primes_upto(L), list(_progression(1, L)), primes\n"
+    )
+    assert prime_list_reads(source) == [
+        "5: .primes", "5: _shared_sieve with a second argument", "6: _shared_sieve with a second argument"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "arith.py"),
+                         ids=lambda p: p.name)
+def test_only_arith_reads_the_prime_list(path):
+    assert prime_list_reads(path.read_text()) == []
 
 
 def imported_at_import_time(source: str) -> set[str]:

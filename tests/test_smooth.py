@@ -72,7 +72,7 @@ class TestCutoffSpec:
 def route_estimate(a, n, Y):
     """_divisor_passes' estimate of the primes smooth_part_of_term's
     passes visit at the scan limit Y, and pi(Y)."""
-    sieve = _shared_sieve(Y, min(Y - 1, math.isqrt(n)))
+    sieve = _shared_sieve(Y)
     count = sieve.count(Y)
     return _divisor_passes(a, n, Y, sieve, count)[2], count
 
@@ -221,7 +221,8 @@ class TestSmoothPartOfTerm:
         # up to the square root of each piece it takes, Phi_d(a), or
         # Phi_(d/2)(a) and then Phi_d(a) for d = 2 mod 4, whose progression
         # of t = d/2 odd steps by 2t = d; an uncut pass still runs to
-        # min(Y, a^d - 1)
+        # min(Y, a^d - 1); before them all, the divisor walk reads the
+        # primes up to min(Y - 1, isqrt(n))
         taken = []
         progression = arith._progression
 
@@ -233,18 +234,20 @@ class TestSmoothPartOfTerm:
         monkeypatch.setattr(arith, "_progression", recording)
         smooth_part_of_term(SequenceSpec(a), n, Y)
         monkeypatch.undo()  # the oracle below factors through arith._progression too
-        sieve = _shared_sieve(Y, math.isqrt(n))
+        sieve = _shared_sieve(Y)
         count = sieve.count(Y)
         passes, cuts, visits = _divisor_passes(a, n, Y, sieve, count)
         assert visits < _SLICE_SHARE * count
         assert cuts and any(L == Y for _, L in passes)
-        # the uncut passes run first, each to its own L, then each cut
-        # pass stops below the root of each piece it takes
-        assert taken[: len(passes)] == passes
+        # the divisor walk comes first, then the uncut passes, each to its
+        # own L, then each cut pass stops below the root of each piece
+        # it takes
+        assert taken[0] == (1, min(Y - 1, math.isqrt(n)))
+        assert taken[1 : len(passes) + 1] == passes
         roots = [(k, math.isqrt(cyclotomic_value(k, a))) for d, _ in cuts
                  for k in ([d // 2, d] if d % 4 == 2 and d > 2 else [d])]
-        assert [t for t, _ in taken[len(passes):]] == [k for k, _ in roots]
-        assert all(L <= root for (_, L), (_, root) in zip(taken[len(passes):], roots))
+        assert [t for t, _ in taken[len(passes) + 1:]] == [k for k, _ in roots]
+        assert all(L <= root for (_, L), (_, root) in zip(taken[len(passes) + 1:], roots))
         if (a, n) == (10, 529360):
             assert (8, 100) in taken  # Phi_8(10) = 10001 = 73 * 137
 
@@ -255,7 +258,7 @@ class TestSmoothPartOfTerm:
         # every listed pass has the bound L = min(Y, a^d - 1), and it is
         # cut exactly when its piece lies below Y^2 and its mod pass would
         # visit more than 4 * _FEW_CANDIDATES primes, pi(L) / phi(d)
-        sieve = _shared_sieve(Y, min(Y - 1, math.isqrt(n)))
+        sieve = _shared_sieve(Y)
         passes, cuts, _ = _divisor_passes(a, n, Y, sieve, sieve.count(Y))
         primes = primes_upto(Y)
         phi_max = 2 * (Y.bit_length() - 1) / math.log2(a)
@@ -297,7 +300,7 @@ class TestSmoothPartOfTerm:
         # lcm(1..100) has tens of thousands of divisors below 10^6; the
         # list stops at the pass that brings the estimate to the full
         # scan's share, and each pass counts at least _FEW_CANDIDATES
-        sieve = _shared_sieve(10**6, 10**6 - 1)
+        sieve = _shared_sieve(10**6)
         count = sieve.count(10**6)
         passes, cuts, visits = _divisor_passes(2, math.lcm(*range(1, 101)), 10**6, sieve, count)
         limit = _SLICE_SHARE * count
@@ -318,11 +321,11 @@ class TestSmoothPartOfTerm:
         (2, 11, 100, {23: 1, 89: 1}),  # a prime n below Y is its own last prime
     ])
     def test_last_prime_of_n_left_over_by_the_walk(self, monkeypatch, a, n, Y, want):
-        # n = 2p, with p past the listed prefix the divisor walk reads,
-        # or n prime: the pass of d = n still runs.  From a fresh sieve
-        # the list stops at min(Y - 1, isqrt(n)), so it holds no prime
-        # whose square passes what is left of n; the full scan, which
-        # needs no divisor, is turned off
+        # n = 2p, with p past the prefix the divisor walk reads, or n
+        # prime: the pass of d = n still runs.  The walk stops at
+        # min(Y - 1, isqrt(n)), however far a fresh sieve or any other
+        # lists, so it reads no prime whose square passes what is left
+        # of n; the full scan, which needs no divisor, is turned off
         monkeypatch.setattr(arith, "_sieve", arith._marked_sieve(1000))
         monkeypatch.setattr(smooth, "_SLICE_SHARE", math.inf)
         got = smooth_part_of_term(SequenceSpec(a), n, Y)
